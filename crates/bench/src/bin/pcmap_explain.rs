@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pcmap_explain [--workload NAME] [--system KIND] [--requests N]
-//!               [--seed S] [--jobs N] [--top K] [--json PATH]
+//!               [--seed S] [--top K] [--json PATH]
 //!               [--diff KIND2] [--fault-rate R] [--fault-seed S]
 //!               [--smoke]
 //! ```
@@ -22,16 +22,16 @@
 //! writes `results/explain.json` and exits nonzero on any violation.
 //!
 //! The tracer is determinism-neutral: the RunReport JSON is
-//! byte-identical with tracing on or off and at any `--jobs N`. The full
-//! timeline report travels out-of-band (`--json` sidecar), never inside
-//! the RunReport. When `PCMAP_TRACE` requests a Chrome trace, the top-K
-//! request lifetimes are also emitted as async trace events
-//! (1 simulated cycle = 1 µs, category `pcmap-req`).
+//! byte-identical with tracing on or off. The full timeline report
+//! travels out-of-band (`--json` sidecar), never inside the RunReport.
+//! When `PCMAP_TRACE` requests a Chrome trace, the top-K request
+//! lifetimes are also emitted as async trace events (1 simulated cycle =
+//! 1 µs, category `pcmap-req`).
 
 use pcmap_bench::parse_system;
 use pcmap_core::SystemKind;
 use pcmap_obs::{LifecycleReport, Value};
-use pcmap_sim::{RunReport, SimConfig, SweepRunner, System};
+use pcmap_sim::{RunReport, SimConfig, System};
 use pcmap_types::FaultConfig;
 use pcmap_workloads::catalog;
 
@@ -40,7 +40,6 @@ struct Args {
     system: SystemKind,
     requests: Option<u64>,
     seed: u64,
-    jobs: usize,
     top: usize,
     json: Option<String>,
     diff: Option<SystemKind>,
@@ -55,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         system: SystemKind::RwowRde,
         requests: None,
         seed: 0xC0FFEE,
-        jobs: pcmap_bench::jobs_from_args(),
         top: 5,
         json: None,
         diff: None,
@@ -88,12 +86,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad job count: {e}"))?
-                    .max(1);
-            }
             "--top" | "-k" => {
                 args.top = value("--top")?
                     .parse()
@@ -118,7 +110,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: pcmap_explain [--workload NAME] [--system KIND] [--requests N] \
-                     [--seed S] [--jobs N] [--top K] [--json PATH] [--diff KIND2] \
+                     [--seed S] [--top K] [--json PATH] [--diff KIND2] \
                      [--fault-rate R] [--fault-seed S] [--smoke]"
                 );
                 std::process::exit(0);
@@ -141,8 +133,7 @@ fn run_traced(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> RunRepor
     }
     let mut sys = System::new(cfg, wl.clone());
     sys.enable_lifecycle_tracing();
-    let mut runner = SweepRunner::new(args.jobs);
-    sys.run_parallel(runner.pool())
+    sys.run()
 }
 
 /// Per-request read/write tag for rendering.

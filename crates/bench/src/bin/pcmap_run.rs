@@ -14,20 +14,19 @@
 //! windowed series) as a JSON array; `--csv PATH` writes the comparison
 //! table as CSV.
 //!
-//! `--jobs N` (default 1, or `PCMAP_JOBS`) enables the deterministic
-//! parallel engine: with `--all` the six independent system runs are
-//! farmed to N pool workers; a single run instead advances its four
-//! channel controllers concurrently (epoch lockstep, DESIGN.md §9).
-//! Every table, JSON, and CSV byte is identical at any `N`.
+//! `--jobs N` (default 1, or `PCMAP_JOBS`) farms the six independent
+//! system runs of `--all` to N workers (DESIGN.md §9); a single run always
+//! steps its channels serially. Every table, JSON, and CSV byte is
+//! identical at any `N`.
 //!
 //! `--fault-rate R` (with optional `--fault-seed S`, or the `PCMAP_FAULTS`
 //! env variable as `RATE[:SEED]`) runs under a deterministic fault storm
 //! (DESIGN.md §11). The default rate of 0 leaves every fault hook inert.
 //!
-//! `--engine cycle|event` (or `PCMAP_ENGINE`) selects the execution
-//! engine (DESIGN.md §14). Both produce byte-identical reports; `event`
-//! (the default) jumps a binary heap of component horizons instead of
-//! scanning every component at every wake.
+//! `--engine cycle|event` (or `PCMAP_ENGINE`; the flag wins) selects the
+//! execution engine (DESIGN.md §14). Both produce byte-identical reports;
+//! `event` (the default) jumps a binary heap of component horizons
+//! instead of scanning every component at every wake.
 
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_obs::Value;
@@ -67,9 +66,11 @@ fn parse_args() -> Result<Args, String> {
         csv: None,
         fault_rate: 0.0,
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        engine: Engine::from_env(),
+        engine: Engine::Event,
     };
-    // `PCMAP_FAULTS=RATE[:SEED]` seeds the defaults; explicit flags win.
+    // `PCMAP_FAULTS=RATE[:SEED]` and `PCMAP_ENGINE` seed the defaults;
+    // explicit flags win.
+    let mut engine_flag = None;
     if let Some(f) = pcmap_bench::faults_from_env() {
         args.fault_rate = f.rate;
         args.fault_seed = f.seed;
@@ -126,7 +127,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad fault seed: {e}"))?;
             }
-            "--engine" => args.engine = value("--engine")?.parse()?,
+            "--engine" => engine_flag = Some(value("--engine")?.parse()?),
             "--help" | "-h" => {
                 println!(
                     "usage: pcmap_run [--workload NAME] [--system KIND] [--requests N] \
@@ -139,6 +140,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    args.engine = match engine_flag {
+        Some(e) => e,
+        None => Engine::from_env()?,
+    };
     Ok(args)
 }
 
@@ -185,17 +190,11 @@ fn main() {
         vec![args.system]
     };
 
-    // Deterministic parallelism (--jobs N): a multi-system sweep farms
-    // whole runs to the pool; a single run parallelizes across its four
-    // channels instead. Both emit byte-identical reports at any N.
-    let mut runner = SweepRunner::new(args.jobs);
-    let reports: Vec<RunReport> = if kinds.len() > 1 {
-        runner.map(kinds.clone(), |kind| {
-            build(&args, kind, &wl).run_with_engine(args.engine)
-        })
-    } else {
-        vec![build(&args, kinds[0], &wl).run_parallel_with_engine(runner.pool(), args.engine)]
-    };
+    // Deterministic parallelism (--jobs N): whole runs are farmed to the
+    // workers and reported in input order, byte-identical at any N.
+    let reports: Vec<RunReport> = SweepRunner::new(args.jobs).map(kinds, |kind| {
+        build(&args, kind, &wl).run_with_engine(args.engine)
+    });
 
     let mut t = TableBuilder::new(&[
         "system",

@@ -83,9 +83,8 @@ impl ReadResolution {
 /// payload is intentional (`clippy::result_large_err` is waived).
 ///
 /// `Send` is a supertrait: a channel's whole state (queues, bus, rank,
-/// wear, RNG stream, event log) is channel-private, which is what lets
-/// the parallel engine advance each controller on its own worker thread
-/// between CPU↔memory barriers.
+/// wear, RNG stream, event log) is channel-private, so a controller can
+/// move to whichever sweep worker runs its system.
 #[allow(clippy::result_large_err)]
 pub trait Controller: Send {
     /// Offers a read request at time `now`.

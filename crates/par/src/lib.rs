@@ -1,21 +1,21 @@
 //! Deterministic parallel execution for the PCMap simulator.
 //!
-//! A vendored scoped thread pool (the build environment has no crates.io
-//! access; same offline pattern as the `proptest` and `criterion` shims,
-//! modeled on the `scoped_threadpool` crate's API; its only workspace
-//! dependency is the inert-when-disabled `pcmap-prof` observer). Two
-//! properties matter more than raw throughput here:
+//! A thin ordered map over [`std::thread::scope`]; its only workspace
+//! dependency is the inert-when-disabled `pcmap-prof` observer. The
+//! simulator parallelizes only *across* independent runs (sweep points,
+//! `--all`, serve-fleet shards), so each map call is long enough that
+//! spawning its workers per call costs nothing measurable. Two properties
+//! matter more than raw throughput here:
 //!
-//! 1. **A fixed worker count** chosen up front ([`Pool::new`]), so a run's
-//!    schedule is reproducible given the same `--jobs` value.
+//! 1. **A fixed worker count** chosen up front ([`Pool::new`]), so a
+//!    sweep's schedule is reproducible given the same `--jobs` value.
 //! 2. **Deterministic result ordering**: [`Pool::ordered_map`] returns
 //!    results in *input* order no matter which worker finished first, so
 //!    sweep output (and anything hashed/serialized downstream) is
 //!    byte-identical across job counts.
 //!
 //! A pool built with `jobs = 1` spawns no threads at all: every closure
-//! runs inline on the caller's stack, compiling the parallel call sites
-//! down to today's serial path.
+//! runs inline on the caller's thread, in input order.
 //!
 //! # Example
 //!
@@ -27,55 +27,14 @@
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
-/// A queued unit of work (lifetime-erased; see the safety argument in
-/// [`Scope::execute`]).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared pool state: the job queue and its wakeup signal.
-struct Shared {
-    state: Mutex<QueueState>,
-    work_ready: Condvar,
-}
-
-struct QueueState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// Per-scope completion tracking.
-struct ScopeState {
-    pending: Mutex<usize>,
-    all_done: Condvar,
-    panicked: AtomicBool,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        Self {
-            pending: Mutex::new(0),
-            all_done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }
-    }
-}
-
-/// A fixed-size scoped thread pool.
+/// A fixed worker count for ordered parallel maps.
 ///
-/// Workers are spawned once in [`Pool::new`] and live until the pool is
-/// dropped, so per-epoch dispatch inside the simulator's event loop does
-/// not pay thread-spawn costs. Closures handed to [`Scope::execute`] may
-/// borrow from the caller's stack; [`Pool::scoped`] joins every spawned
-/// closure before it returns, which is what makes those borrows sound.
+/// Each [`Pool::ordered_map`] call spawns up to `jobs` scoped workers that
+/// pull items from a shared queue and are joined before the call returns,
+/// so the mapped closure may borrow from the caller's stack.
 pub struct Pool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
     jobs: usize,
 }
 
@@ -83,36 +42,10 @@ impl Pool {
     /// Creates a pool that runs up to `jobs` closures concurrently.
     ///
     /// `jobs = 1` (or 0, which is clamped to 1) creates a threadless pool:
-    /// every closure runs inline on the calling thread, in submission
-    /// order — exactly the serial engine.
+    /// every closure runs inline on the calling thread, in input order.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let workers = if jobs == 1 {
-            Vec::new()
-        } else {
-            (0..jobs)
-                .map(|i| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name(format!("pcmap-par-{i}"))
-                        .spawn(move || worker_loop(&shared))
-                        .expect("spawn pool worker")
-                })
-                .collect()
-        };
-        Self {
-            shared,
-            workers,
-            jobs,
-        }
+        Self { jobs: jobs.max(1) }
     }
 
     /// The configured concurrency (the `--jobs` value, clamped to ≥ 1).
@@ -121,159 +54,55 @@ impl Pool {
         self.jobs
     }
 
-    /// `true` when the pool runs everything inline on the caller's thread.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Runs `f` with a [`Scope`] that can spawn borrowing closures onto
-    /// the pool, then blocks until every spawned closure has finished.
+    /// Applies `f` to every item, running up to `jobs` applications
+    /// concurrently, and returns the results **in input order**.
     ///
     /// # Panics
     ///
-    /// Re-raises (as a panic) if any spawned closure panicked.
-    pub fn scoped<'pool, 'scope, F, R>(&'pool mut self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'pool, 'scope>) -> R,
-    {
-        let scope = Scope {
-            shared: &self.shared,
-            state: Arc::new(ScopeState::new()),
-            inline: self.workers.is_empty(),
-            _marker: PhantomData,
-        };
-        // `scope` joins in its Drop impl, so spawned closures are waited
-        // for even if `f` itself panics — no borrow outlives this frame.
-        let out = f(&scope);
-        drop(scope);
-        out
-    }
-
-    /// Applies `f` to every item, running up to `jobs` applications
-    /// concurrently, and returns the results **in input order**.
+    /// Re-raises the panic of any application of `f`, after every worker
+    /// has been joined.
     pub fn ordered_map<T, R, F>(&mut self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
-        self.scoped(|scope| {
-            for (slot, item) in slots.iter_mut().zip(items) {
-                let f = &f;
-                scope.execute(move || *slot = Some(f(item)));
+        pcmap_prof::add(pcmap_prof::Counter::PoolJobs, items.len() as u64);
+        if self.jobs == 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let n = items.len();
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let f = &f;
+        // `f` runs outside the lock, so a panicking item cannot poison it.
+        let next = || queue.lock().expect("queue lock is never poisoned").next();
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.jobs.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some((i, item)) = next() {
+                            done.push((i, f(item)));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            // The join is the sweep barrier: the span measures how long
+            // the calling thread waits for its slowest worker.
+            let _span = pcmap_prof::span(pcmap_prof::SpanId::ParBarrier);
+            for w in workers {
+                let done = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (i, r) in done {
+                    slots[i] = Some(r);
+                }
             }
         });
         slots
             .into_iter()
-            .map(|s| s.expect("scope joined every job"))
+            .map(|s| s.expect("every item was mapped"))
             .collect()
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for w in self.workers.drain(..) {
-            // A worker that panicked already flagged the owning scope;
-            // nothing more to report at teardown.
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut st = shared.state.lock().expect("pool lock");
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break job;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.work_ready.wait(st).expect("pool lock");
-            }
-        };
-        job();
-    }
-}
-
-/// Spawn handle passed to the closure of [`Pool::scoped`].
-///
-/// `'scope` is the lifetime data borrowed by spawned closures must
-/// outlive; it is invariant (the `Cell` marker) so the compiler cannot
-/// shrink it behind the pool's back.
-pub struct Scope<'pool, 'scope> {
-    shared: &'pool Arc<Shared>,
-    state: Arc<ScopeState>,
-    inline: bool,
-    _marker: PhantomData<std::cell::Cell<&'scope mut ()>>,
-}
-
-impl<'scope> Scope<'_, 'scope> {
-    /// Submits `f` to the pool (or runs it immediately on a serial pool).
-    ///
-    /// Closures submitted from the same thread start in submission order,
-    /// but may run concurrently and *finish* in any order — anything
-    /// order-sensitive must be indexed by the caller (as
-    /// [`Pool::ordered_map`] does).
-    pub fn execute<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        pcmap_prof::bump(pcmap_prof::Counter::PoolJobs);
-        if self.inline {
-            f();
-            return;
-        }
-        *self.state.pending.lock().expect("scope lock") += 1;
-        let state = Arc::clone(&self.state);
-        let wrapped = move || {
-            if catch_unwind(AssertUnwindSafe(f)).is_err() {
-                state.panicked.store(true, Ordering::SeqCst);
-            }
-            let mut pending = state.pending.lock().expect("scope lock");
-            *pending -= 1;
-            if *pending == 0 {
-                state.all_done.notify_all();
-            }
-        };
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(wrapped);
-        // SAFETY: the job only borrows data outliving 'scope, and
-        // `Scope::drop` (which `Pool::scoped` guarantees runs inside the
-        // 'scope frame, panic or not) blocks until the job has completed —
-        // so the erased borrows never dangle.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.queue.push_back(job);
-        }
-        self.shared.work_ready.notify_one();
-    }
-}
-
-impl Drop for Scope<'_, '_> {
-    fn drop(&mut self) {
-        // The join below is the epoch barrier: the span measures how long
-        // the scoping thread waits for its slowest worker.
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::ParBarrier);
-        let mut pending = self.state.pending.lock().expect("scope lock");
-        while *pending > 0 {
-            pending = self.state.all_done.wait(pending).expect("scope lock");
-        }
-        drop(pending);
-        if self.state.panicked.load(Ordering::SeqCst) && !std::thread::panicking() {
-            panic!("a pooled job panicked");
-        }
     }
 }
 
@@ -291,35 +120,22 @@ pub fn env_jobs() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn serial_pool_runs_inline_in_order() {
         let mut pool = Pool::new(1);
-        assert!(pool.is_serial());
         let log = Mutex::new(Vec::new());
-        pool.scoped(|s| {
-            for i in 0..8 {
-                let log = &log;
-                s.execute(move || log.lock().unwrap().push(i));
-            }
-        });
+        pool.ordered_map((0..8).collect(), |i: u64| log.lock().unwrap().push(i));
         assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
-    fn parallel_pool_joins_all_jobs() {
-        let mut pool = Pool::new(4);
-        let hits = AtomicU64::new(0);
-        pool.scoped(|s| {
-            for _ in 0..64 {
-                let hits = &hits;
-                s.execute(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
+    fn pool_is_reusable_across_maps() {
+        let mut pool = Pool::new(2);
+        for round in 0..50u64 {
+            let out = pool.ordered_map((0..4).collect(), |k: u64| round + k);
+            assert_eq!(out.iter().sum::<u64>(), 4 * round + 6);
+        }
     }
 
     #[test]
@@ -340,45 +156,32 @@ mod tests {
     }
 
     #[test]
-    fn scoped_borrows_disjoint_slots_mutably() {
+    fn more_jobs_than_items_maps_every_item_once() {
+        let mut pool = Pool::new(8);
+        assert_eq!(pool.ordered_map(vec![5u64, 6, 7], |x| x + 1), vec![6, 7, 8]);
+        assert!(pool.ordered_map(Vec::<u64>::new(), |x| x).is_empty());
+    }
+
+    #[test]
+    fn ordered_map_borrows_from_the_caller() {
         let mut pool = Pool::new(3);
-        let mut slots = [0u64; 12];
-        pool.scoped(|s| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                s.execute(move || *slot = i as u64 + 1);
-            }
-        });
-        for (i, v) in slots.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1);
-        }
+        let table: Vec<u64> = (0..12).map(|i| i * i).collect();
+        let out = pool.ordered_map((0..12).collect(), |i: usize| table[i] + 1);
+        let expect: Vec<u64> = table.iter().map(|v| v + 1).collect();
+        assert_eq!(out, expect);
     }
 
     #[test]
-    fn pool_survives_across_scopes() {
-        let mut pool = Pool::new(2);
-        for round in 0..50u64 {
-            let total = AtomicU64::new(0);
-            pool.scoped(|s| {
-                for k in 0..4 {
-                    let total = &total;
-                    s.execute(move || {
-                        total.fetch_add(round + k, Ordering::SeqCst);
-                    });
-                }
+    fn panics_propagate_to_the_calling_thread() {
+        for jobs in [1, 2] {
+            let result = std::panic::catch_unwind(|| {
+                Pool::new(jobs).ordered_map(vec![1u64, 2, 3], |x| {
+                    assert_ne!(x, 2, "boom");
+                    x
+                })
             });
-            assert_eq!(total.load(Ordering::SeqCst), 4 * round + 6);
+            assert!(result.is_err(), "jobs = {jobs}: map must re-raise panics");
         }
-    }
-
-    #[test]
-    fn panics_propagate_to_the_scoping_thread() {
-        let result = std::panic::catch_unwind(|| {
-            let mut pool = Pool::new(2);
-            pool.scoped(|s| {
-                s.execute(|| panic!("boom"));
-            });
-        });
-        assert!(result.is_err(), "scope must re-raise worker panics");
     }
 
     #[test]

@@ -16,19 +16,17 @@ pub enum Counter {
     Reservations,
     /// Fault-plan hook evaluations (per-event Bernoulli draws).
     FaultDraws,
-    /// Closures dispatched through the scoped thread pool.
+    /// Items mapped through the worker pool (`Pool::ordered_map`).
     PoolJobs,
     /// Engine epochs executed (event-loop iterations).
     Epochs,
-    /// Epochs whose controller steps were dispatched to the pool.
-    EpochsParallel,
     /// Chrome trace events dropped after the in-memory cap was hit.
     TraceDropped,
 }
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 9] = [
+    pub const ALL: [Counter; 8] = [
         Counter::ConstraintChecks,
         Counter::QueueScans,
         Counter::CommandsIssued,
@@ -36,7 +34,6 @@ impl Counter {
         Counter::FaultDraws,
         Counter::PoolJobs,
         Counter::Epochs,
-        Counter::EpochsParallel,
         Counter::TraceDropped,
     ];
 
@@ -50,7 +47,6 @@ impl Counter {
             Counter::FaultDraws => "fault_draws",
             Counter::PoolJobs => "pool_jobs",
             Counter::Epochs => "epochs",
-            Counter::EpochsParallel => "epochs_parallel",
             Counter::TraceDropped => "trace_events_dropped",
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! * **Spans** ([`span`]) — scoped host-monotonic timers around the hot
 //!   phases (controller step, constraint scan, ECC codec, fault
-//!   injection, epoch barriers). Near-zero cost when disabled: one
+//!   injection, pool join waits). Near-zero cost when disabled: one
 //!   relaxed atomic load and an untaken branch.
 //! * **Counters** ([`bump`]/[`add`]) — hot-path event counts (constraint
 //!   checks, queue scans, commands issued, pool jobs, epochs).

@@ -30,15 +30,15 @@ pub enum SpanId {
     /// Fault-plan application at the controller (chip faults, wear
     /// planting).
     FaultInject,
-    /// Epoch-barrier wait in the scoped thread pool (time the driving
-    /// thread spends joining workers).
+    /// Join wait in the worker pool (time the calling thread spends
+    /// waiting for its slowest sweep worker).
     ParBarrier,
     /// Delivering due completions to cores (engine phase 1).
     SimDeliver,
     /// Core polling and request injection (engine phase 2).
     SimPoll,
-    /// Stepping all channel controllers (engine phase 3, includes the
-    /// parallel dispatch + barrier when a pool is active).
+    /// Stepping all channel controllers in channel order and queueing
+    /// their completions (engine phase 3).
     SimStep,
 }
 

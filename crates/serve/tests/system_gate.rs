@@ -5,13 +5,12 @@
 //! `pcmap_sim::System`; these tests pin the integration contract:
 //! a gateless run is byte-identical to the pre-serve simulator (no
 //! `serve` key in the JSON), a gated run stays byte-identical across
-//! engines and worker counts, and the gate's ledger conserves every
-//! request it ever sees.
+//! engines and sweep worker counts, and the gate's ledger conserves
+//! every request it ever sees.
 
 use pcmap_core::SystemKind;
-use pcmap_par::Pool;
 use pcmap_serve::TokenGate;
-use pcmap_sim::{SimConfig, System};
+use pcmap_sim::{Engine, SimConfig, SweepRunner, System};
 use pcmap_types::{ServeSummary, SloSpec};
 use pcmap_workloads::catalog;
 
@@ -38,27 +37,23 @@ fn tight_gate(cores: usize) -> TokenGate {
     )
 }
 
-fn run_gated(
-    c: &SimConfig,
-    gate: Option<TokenGate>,
-    jobs: usize,
-) -> (String, Option<ServeSummary>) {
+fn gated_system(c: &SimConfig, gate: Option<TokenGate>) -> System {
     let wl = catalog::by_name("canneal").expect("catalog workload");
     let mut sys = System::new(c.clone(), wl);
     if let Some(gate) = gate {
         sys.set_ingress_gate(Box::new(gate));
     }
-    let report = if jobs == 0 {
-        sys.run()
-    } else {
-        sys.run_parallel(&mut Pool::new(jobs))
-    };
+    sys
+}
+
+fn run_gated(c: &SimConfig, gate: Option<TokenGate>) -> (String, Option<ServeSummary>) {
+    let report = gated_system(c, gate).run();
     (report.to_json().to_json_string(), report.serve)
 }
 
 #[test]
 fn gateless_report_has_no_serve_block() {
-    let (json, serve) = run_gated(&cfg(400), None, 0);
+    let (json, serve) = run_gated(&cfg(400), None);
     assert!(serve.is_none());
     assert!(
         !json.contains("\"serve\""),
@@ -70,21 +65,30 @@ fn gateless_report_has_no_serve_block() {
 fn gated_run_is_byte_identical_across_engines_and_jobs() {
     let c = cfg(800);
     let cores = usize::from(c.cpu.cores);
-    let (serial, serve) = run_gated(&c, Some(tight_gate(cores)), 0);
+    let (serial, serve) = run_gated(&c, Some(tight_gate(cores)));
     let serve = serve.expect("gate attached");
     assert!(serve.conserved(), "{serve:?}");
     assert!(serial.contains("\"serve\""));
+    let engines = vec![Engine::Cycle, Engine::Event];
     for jobs in [1usize, 4] {
-        let (par, par_serve) = run_gated(&c, Some(tight_gate(cores)), jobs);
-        assert_eq!(serial, par, "gated run diverged at jobs = {jobs}");
-        assert_eq!(Some(serve), par_serve);
+        let reports = SweepRunner::new(jobs).map(engines.clone(), |engine| {
+            gated_system(&c, Some(tight_gate(cores))).run_with_engine(engine)
+        });
+        for (engine, r) in engines.iter().zip(&reports) {
+            assert_eq!(
+                serial,
+                r.to_json().to_json_string(),
+                "gated {engine:?} run diverged at sweep jobs = {jobs}"
+            );
+            assert_eq!(Some(serve), r.serve);
+        }
     }
 }
 
 #[test]
 fn generous_gate_retires_everything_it_admits() {
     let c = cfg(600);
-    let (_, serve) = run_gated(&c, Some(generous_gate(usize::from(c.cpu.cores))), 0);
+    let (_, serve) = run_gated(&c, Some(generous_gate(usize::from(c.cpu.cores))));
     let s = serve.expect("gate attached");
     assert!(s.conserved(), "{s:?}");
     assert_eq!(s.generated, s.admitted, "a generous bucket never defers");
@@ -102,7 +106,7 @@ fn generous_gate_retires_everything_it_admits() {
 #[test]
 fn tight_gate_defers_but_still_conserves() {
     let c = cfg(600);
-    let (_, serve) = run_gated(&c, Some(tight_gate(usize::from(c.cpu.cores))), 0);
+    let (_, serve) = run_gated(&c, Some(tight_gate(usize::from(c.cpu.cores))));
     let s = serve.expect("gate attached");
     assert!(s.conserved(), "{s:?}");
     assert!(s.deferrals > 0, "a 4-token bucket must throttle: {s:?}");

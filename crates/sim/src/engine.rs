@@ -34,14 +34,15 @@ pub enum Engine {
 impl Engine {
     /// Engine selected by the `PCMAP_ENGINE` environment variable
     /// (`cycle` or `event`); unset or empty means [`Engine::Event`].
-    #[must_use]
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Any other value, with a message naming the variable.
+    pub fn from_env() -> Result<Self, String> {
         // pcmap-lint: allow(nondet-taint, reason = "PCMAP_ENGINE selects between the two engines whose equivalence the pardiff/differential suites prove; either choice yields byte-identical results")
         match std::env::var("PCMAP_ENGINE") {
-            Ok(s) if !s.is_empty() => s
-                .parse()
-                .unwrap_or_else(|e: String| panic!("PCMAP_ENGINE: {e}")),
-            _ => Self::Event,
+            Ok(s) if !s.is_empty() => s.parse().map_err(|e| format!("PCMAP_ENGINE: {e}")),
+            _ => Ok(Self::Event),
         }
     }
 

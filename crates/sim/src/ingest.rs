@@ -12,9 +12,8 @@
 //! track latency against SLOs.
 //!
 //! Determinism contract (DESIGN.md §9): the gate is consulted only from
-//! the driving thread (core polling and delivery draining), never from a
-//! pool worker, so any deterministic gate keeps `--jobs N` runs
-//! byte-identical. With no gate attached every hook is inert and the
+//! the run's own event loop (core polling and delivery draining), so any
+//! deterministic gate keeps `--jobs N` sweeps byte-identical. With no gate attached every hook is inert and the
 //! report is byte-for-byte what it was before this module existed — the
 //! `serve` block only appears in the JSON when a gate is present.
 

@@ -1,5 +1,5 @@
 //! Sweep-level parallelism: farming independent simulation runs to a
-//! fixed-size worker pool.
+//! fixed number of workers.
 //!
 //! Every paper experiment is a sweep over (workload × system-kind ×
 //! config) points whose runs share nothing — each builds its own
@@ -8,7 +8,8 @@
 //! a [`pcmap_par::Pool`] and hands results back **in input order**, so a
 //! sweep's output (tables, JSON exports, golden numbers) is byte-identical
 //! at every `--jobs` value, including the threadless `--jobs 1` serial
-//! path.
+//! path. This is the simulator's only parallelism: a single run always
+//! steps its channels serially on the calling thread.
 
 use crate::experiments::EvalScale;
 use crate::system::{RunReport, SimConfig, System};
@@ -37,8 +38,8 @@ impl SweepPoint {
         }
     }
 
-    /// Runs this point to completion (serially; the sweep layer provides
-    /// the parallelism).
+    /// Runs this point to completion on the calling thread (the sweep
+    /// layer provides the parallelism).
     #[must_use]
     pub fn run(self) -> RunReport {
         System::new(self.cfg, self.workload).run()
@@ -64,12 +65,6 @@ impl SweepRunner {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.pool.jobs()
-    }
-
-    /// The underlying pool (for the intra-run channel engine,
-    /// [`System::run_parallel`]).
-    pub fn pool(&mut self) -> &mut Pool {
-        &mut self.pool
     }
 
     /// Ordered parallel map over arbitrary sweep items: `out[i] =

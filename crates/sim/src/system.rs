@@ -12,7 +12,6 @@ use pcmap_obs::{
     CounterId, Event, EventKind, EventLog, EventSink, LifecycleReport, MetricRegistry,
     MetricsSnapshot, StallBreakdown, Value, WindowedSeries, NO_REQ,
 };
-use pcmap_par::Pool;
 use pcmap_types::{
     BankId, CoreId, CpuParams, Cycle, FaultConfig, MemOrg, QueueParams, ServeSummary, TimingParams,
     Xoshiro256,
@@ -581,42 +580,18 @@ impl System {
         &mut self.ctrls
     }
 
-    /// Runs to completion serially and produces the report. The engine
-    /// comes from `PCMAP_ENGINE` ([`Engine::from_env`], default event).
+    /// Runs to completion and produces the report. The engine comes from
+    /// `PCMAP_ENGINE` ([`Engine::from_env`], default event).
+    ///
+    /// # Panics
+    ///
+    /// If `PCMAP_ENGINE` names no engine.
     pub fn run(self) -> RunReport {
-        self.run_engine(None, Engine::from_env())
+        self.run_with_engine(Engine::from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 
-    /// Runs serially under an explicit [`Engine`] (differential testing).
-    pub fn run_with_engine(self, engine: Engine) -> RunReport {
-        self.run_engine(None, engine)
-    }
-
-    /// Runs to completion with intra-run channel parallelism: each memory
-    /// channel (controller + DIMM/rank/wear state, all channel-private)
-    /// advances on its own pool worker between CPU↔memory barriers.
-    ///
-    /// The engine is epoch-based lockstep. One event-loop iteration is one
-    /// epoch: deliveries and core polling (the only cross-channel
-    /// interaction points) run on the driving thread and form the barrier;
-    /// the per-channel `step` calls inside the epoch are independent and
-    /// run concurrently. Completions are merged back in channel-index
-    /// order — the exact insertion sequence the serial engine produces —
-    /// so the resulting [`RunReport`] is byte-identical to [`System::run`]
-    /// (`crates/sim/tests/par_equiv.rs` proves this; DESIGN.md §9 states
-    /// the determinism contract).
-    ///
-    /// With a serial pool (`--jobs 1`) this takes exactly the serial path.
-    pub fn run_parallel(self, pool: &mut Pool) -> RunReport {
-        self.run_engine(Some(pool), Engine::from_env())
-    }
-
-    /// Runs with channel parallelism under an explicit [`Engine`].
-    pub fn run_parallel_with_engine(self, pool: &mut Pool, engine: Engine) -> RunReport {
-        self.run_engine(Some(pool), engine)
-    }
-
-    fn run_engine(mut self, mut pool: Option<&mut Pool>, engine: Engine) -> RunReport {
+    /// Runs to completion under an explicit [`Engine`].
+    pub fn run_with_engine(mut self, engine: Engine) -> RunReport {
         let mut now = Cycle(0);
         // Event engine: heap of cached component horizons. Channel
         // horizons come from `Controller::next_tick`, core horizons from
@@ -624,9 +599,6 @@ impl System {
         // every epoch, so the two engines jump to identical cycles.
         let mut heap =
             (engine == Engine::Event).then(|| EventHeap::new(self.ctrls.len(), self.cores.len()));
-        // Scratch completion buffers, one per channel, reused each epoch.
-        let mut epoch_out: Vec<Vec<Completion>> = Vec::new();
-        epoch_out.resize_with(self.ctrls.len(), Vec::new);
         loop {
             pcmap_prof::bump(pcmap_prof::Counter::Epochs);
             // 1. Deliver due completions to cores.
@@ -647,43 +619,16 @@ impl System {
                 self.poll_cores(now);
             }
 
-            // 3. Step controllers — the epoch body. Channels share no
-            // state with each other, only with the CPU side (steps 1-2
-            // above, the barrier), so they may advance concurrently; the
-            // completion merge below is in channel-index order either
-            // way, keeping the delivery heap's insertion sequence — and
-            // therefore everything downstream — identical to the serial
-            // engine's.
-            let par = match pool.as_deref_mut() {
-                Some(p) if !p.is_serial() && self.channels_due(now) >= 2 => Some(p),
-                _ => None,
-            };
-            let _step_span = pcmap_prof::span(pcmap_prof::SpanId::SimStep);
-            if let Some(p) = par {
-                pcmap_prof::bump(pcmap_prof::Counter::EpochsParallel);
-                p.scoped(|scope| {
-                    for (ch, (ctrl, out)) in
-                        self.ctrls.iter_mut().zip(epoch_out.iter_mut()).enumerate()
-                    {
-                        scope.execute(move || {
-                            // Tag this worker so occupancy recorded inside
-                            // `ctrl.step` lands in the right channel bucket.
-                            pcmap_prof::set_channel(ch);
-                            *out = ctrl.step(now);
-                        });
-                    }
-                });
-            } else {
-                for (ch, (ctrl, out)) in self.ctrls.iter_mut().zip(epoch_out.iter_mut()).enumerate()
-                {
+            // 3. Step controllers in channel-index order; each channel's
+            // completions enter the delivery heap before the next channel
+            // steps, fixing the heap's insertion sequence.
+            {
+                let _span = pcmap_prof::span(pcmap_prof::SpanId::SimStep);
+                for ch in 0..self.ctrls.len() {
                     pcmap_prof::set_channel(ch);
-                    *out = ctrl.step(now);
-                }
-            }
-            drop(_step_span);
-            for (ch, out) in epoch_out.iter_mut().enumerate() {
-                for comp in std::mem::take(out) {
-                    self.push_completion(ch, comp);
+                    for comp in self.ctrls[ch].step(now) {
+                        self.push_completion(ch, comp);
+                    }
                 }
             }
 
@@ -1001,16 +946,6 @@ impl System {
         }
     }
 
-    /// Channels that can make progress at exactly `now` — the epoch only
-    /// pays pool-dispatch overhead when at least two have work (dispatch
-    /// choice never changes state: every channel is stepped either way).
-    fn channels_due(&self, now: Cycle) -> usize {
-        self.ctrls
-            .iter()
-            .filter(|c| c.next_tick().is_some_and(|w| w <= now))
-            .count()
-    }
-
     fn finished(&self, _now: Cycle) -> bool {
         self.cores.iter().all(|c| c.is_finished())
             && self.deliveries.is_empty()
@@ -1285,25 +1220,24 @@ mod tests {
         // wall time and occupancy, never simulated state.
         let wl = catalog::by_name("streamcluster").unwrap();
         let cfg = SimConfig::paper_default(SystemKind::RwowRde).with_requests(600);
-        let off = System::new(cfg.clone(), wl.clone()).run();
+        let point = crate::SweepPoint { cfg, workload: wl };
+        let off = point.clone().run().to_json().to_json_string();
         pcmap_prof::enable();
         pcmap_prof::enable_trace();
-        let on = System::new(cfg.clone(), wl.clone()).run();
-        // Parallel engine under profiling too: same bytes again.
-        let mut pool = Pool::new(4);
-        let on_par = System::new(cfg, wl).run_parallel(&mut pool);
+        // Profiled sweeps at 1 and 4 workers: same bytes again.
+        let mut on = Vec::new();
+        for jobs in [1usize, 4] {
+            on.extend(crate::SweepRunner::new(jobs).run_points(vec![point.clone(); 2]));
+        }
         pcmap_prof::disable_trace();
         pcmap_prof::disable();
-        assert_eq!(
-            off.to_json().to_json_string(),
-            on.to_json().to_json_string(),
-            "profiling must be determinism-neutral (serial engine)"
-        );
-        assert_eq!(
-            off.to_json().to_json_string(),
-            on_par.to_json().to_json_string(),
-            "profiling must be determinism-neutral (parallel engine)"
-        );
+        for r in &on {
+            assert_eq!(
+                off,
+                r.to_json().to_json_string(),
+                "profiling must be determinism-neutral at any job count"
+            );
+        }
         // And it actually observed the runs: occupancy was recorded.
         let (runs, cycles) = pcmap_prof::run_totals();
         assert!(runs >= 2, "profiler saw {runs} runs");

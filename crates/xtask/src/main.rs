@@ -8,7 +8,7 @@
 //! cargo xtask analyze  # pcmap-analyze semantic passes -> results/analyze.json
 //! cargo xtask clippy   # clippy -D warnings only
 //! cargo xtask check    # PCMAP_CHECK=1 release experiment runs (protocol invariants)
-//! cargo xtask pardiff  # serial vs parallel JSON byte-diff gate
+//! cargo xtask pardiff  # sweep jobs-1 vs jobs-4 + engine JSON byte-diff gate
 //! cargo xtask soak     # seeded fault-storm recovery gate -> results/soak.json
 //! cargo xtask serve-soak # overload-safe ingestion gate -> results/serve_soak.json
 //! cargo xtask explain  # lifecycle conservation gate -> results/explain.json
@@ -135,11 +135,9 @@ fn check() -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the simulator serially and in parallel and byte-compares the
-/// exported JSON — the end-to-end determinism gate behind `--jobs N`
-/// (DESIGN.md §9). Exercises both parallel modes: the sweep pool
-/// (`--all` farms six system runs to workers) and the channel mode (a
-/// single run steps its four controllers concurrently). Ends with the
+/// Runs a sweep serially and in parallel and byte-compares the exported
+/// JSON — the end-to-end determinism gate behind `--jobs N` (DESIGN.md
+/// §9): `--all` farms six system runs to the workers. Ends with the
 /// execution-engine differential ([`engine_diff`], DESIGN.md §14).
 fn pardiff() -> Result<(), String> {
     step(
@@ -155,26 +153,13 @@ fn pardiff() -> Result<(), String> {
     )?;
     let dir = env::temp_dir().join("pcmap-pardiff");
     fs::create_dir_all(&dir).map_err(|e| format!("pardiff: mkdir: {e}"))?;
-    let pairs: &[(&str, &[&str])] = &[
-        ("sweep", &["--all", "--requests", "1500"]),
-        (
-            "channel",
+    let mut outputs = Vec::new();
+    for jobs in ["1", "4"] {
+        let path = dir.join(format!("sweep-jobs{jobs}.json"));
+        let path_str = path.to_string_lossy().into_owned();
+        step(
+            &format!("pardiff-sweep-jobs{jobs}"),
             &[
-                "--workload",
-                "canneal",
-                "--system",
-                "rwow-rde",
-                "--requests",
-                "1500",
-            ],
-        ),
-    ];
-    for (label, base) in pairs {
-        let mut outputs = Vec::new();
-        for jobs in ["1", "4"] {
-            let path = dir.join(format!("{label}-jobs{jobs}.json"));
-            let path_str = path.to_string_lossy().into_owned();
-            let mut args: Vec<&str> = vec![
                 "run",
                 "--release",
                 "-q",
@@ -183,24 +168,27 @@ fn pardiff() -> Result<(), String> {
                 "--bin",
                 "pcmap_run",
                 "--",
-            ];
-            args.extend_from_slice(base);
-            args.extend_from_slice(&["--jobs", jobs, "--json", &path_str]);
-            step(&format!("pardiff-{label}-jobs{jobs}"), &args)?;
-            outputs.push(fs::read(&path).map_err(|e| format!("pardiff: read {path_str}: {e}"))?);
-        }
-        if outputs[0] != outputs[1] {
-            return Err(format!(
-                "pardiff: {label}: --jobs 4 JSON differs from --jobs 1 \
-                 (artifacts in {})",
-                dir.display()
-            ));
-        }
-        println!(
-            "xtask: pardiff {label}: --jobs 1 == --jobs 4 ({} bytes)",
-            outputs[0].len()
-        );
+                "--all",
+                "--requests",
+                "1500",
+                "--jobs",
+                jobs,
+                "--json",
+                &path_str,
+            ],
+        )?;
+        outputs.push(fs::read(&path).map_err(|e| format!("pardiff: read {path_str}: {e}"))?);
     }
+    if outputs[0] != outputs[1] {
+        return Err(format!(
+            "pardiff: sweep: --jobs 4 JSON differs from --jobs 1 (artifacts in {})",
+            dir.display()
+        ));
+    }
+    println!(
+        "xtask: pardiff sweep: --jobs 1 == --jobs 4 ({} bytes)",
+        outputs[0].len()
+    );
     engine_diff(&dir)
 }
 
@@ -217,8 +205,6 @@ fn engine_diff(dir: &std::path::Path) -> Result<(), String> {
         "rwow-rde",
         "--requests",
         "1500",
-        "--jobs",
-        "4",
     ];
     let mut outputs = Vec::new();
     for engine in ["cycle", "event"] {
@@ -244,7 +230,7 @@ fn engine_diff(dir: &std::path::Path) -> Result<(), String> {
     report.set("tool", Value::Str("pcmap-engine-diff".to_owned()));
     report.set(
         "scenario",
-        Value::Str("canneal/rwow-rde/1500 requests/jobs 4".to_owned()),
+        Value::Str("canneal/rwow-rde/1500 requests".to_owned()),
     );
     report.set(
         "engines",

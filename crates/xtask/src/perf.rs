@@ -87,8 +87,6 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
                 "rwow-rde",
                 "--requests",
                 "1500",
-                "--jobs",
-                "4",
             ]),
             trace: true,
         },
