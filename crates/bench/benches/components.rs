@@ -1,11 +1,13 @@
-//! Criterion microbenches of the core components: SECDED, parity
-//! reconstruction, rotation layout, IRLP accounting, and the generators.
+//! Criterion microbenches of the core components: SECDED (bit-level and
+//! table-driven), parity reconstruction, data-only storage peeks, rotation
+//! layout, IRLP accounting, and the generators.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pcmap_core::Layout;
 use pcmap_ctrl::IrlpTracker;
-use pcmap_ecc::{hamming, LineCodec};
-use pcmap_types::{BankId, CacheLine, Cycle, LineAddr};
+use pcmap_device::PcmRank;
+use pcmap_ecc::{hamming, table, LineCodec};
+use pcmap_types::{BankId, CacheLine, ColAddr, Cycle, LineAddr, MemOrg, RowAddr};
 use pcmap_workloads::{catalog, CoreStream};
 use std::hint::black_box;
 
@@ -15,6 +17,20 @@ fn bench_hamming(c: &mut Criterion) {
             let cw = hamming::encode(black_box(0xdead_beef_cafe_f00d));
             hamming::decode(cw)
         })
+    });
+    c.bench_function("secded_check_table", |b| {
+        b.iter(|| table::check_of(black_box(0xdead_beef_cafe_f00d)))
+    });
+    let check = table::check_of(0xdead_beef_cafe_f00d);
+    c.bench_function("secded_decode_table", |b| {
+        b.iter(|| table::decode(black_box(0xdead_beef_cafe_f00d ^ (1 << 17)), check))
+    });
+}
+
+fn bench_storage(c: &mut Criterion) {
+    let rank = PcmRank::with_seed(MemOrg::paper_default(), 7);
+    c.bench_function("rank_read_data_pristine", |b| {
+        b.iter(|| rank.read_data(BankId(3), black_box(RowAddr(1234)), ColAddr(17)))
     });
 }
 
@@ -70,6 +86,6 @@ fn bench_generator(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_secs(1)).measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_hamming, bench_line_codec, bench_layout, bench_irlp, bench_generator
+    targets = bench_hamming, bench_line_codec, bench_storage, bench_layout, bench_irlp, bench_generator
 }
 criterion_main!(components);

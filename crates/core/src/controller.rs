@@ -40,7 +40,7 @@ use pcmap_obs::{
     Event, EventKind, EventLog, EventSink, LifecycleTracer, RecoveryKind, Resource, WaitCause,
 };
 use pcmap_types::{
-    BankId, ChipId, ChipSet, Cycle, Duration, MemOrg, QueueParams, TimingParams, WordMask,
+    BankId, ChipId, ChipSet, Cycle, Duration, LineAddr, MemOrg, QueueParams, TimingParams, WordMask,
 };
 
 /// A write currently occupying chips on a bank (its data phase).
@@ -53,6 +53,10 @@ struct InflightWrite {
     /// tracer).
     req: u64,
 }
+
+/// Where a queued write sits, keyed by age: `(arrival, id, bank index,
+/// position in that bank's queue)`.
+type WriteKey = (Cycle, ReqId, usize, usize);
 
 /// The PCMap controller for one channel.
 ///
@@ -79,6 +83,11 @@ pub struct PcmapController {
     /// Writes currently being issued word-by-word under the split mode.
     // pcmap-lint: allow(missed-wake, reason = "a split write stays resident in its write queue until every partial issues, and compute_wake reads queue occupancy; this list only de-duplicates the split bookkeeping")
     split_in_progress: Vec<ReqId>,
+    /// Scratch for [`Self::try_issue_write`]: the visit order of the
+    /// queued writes.
+    write_order: Vec<WriteKey>,
+    /// Scratch for [`Self::try_issue_write`]: lines with a skipped write.
+    skipped_lines: Vec<LineAddr>,
 }
 
 impl PcmapController {
@@ -103,6 +112,8 @@ impl PcmapController {
             overlap_reads_in_normal: true,
             split_writes_for_row: false,
             split_in_progress: Vec::new(),
+            write_order: Vec::new(),
+            skipped_lines: Vec::new(),
         }
     }
 
@@ -186,16 +197,43 @@ impl PcmapController {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
         pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         let degraded = self.rank_degraded(now);
-        // Gather candidates across bank queues, oldest first per bank.
-        let mut candidates: Vec<MemRequest> = Vec::new();
-        for q in &self.core.write_qs {
-            candidates.extend(q.iter().copied());
+        // The scratch buffers are taken and put back so their capacity
+        // is reused: once warm, a call allocates nothing.
+        let mut order = std::mem::take(&mut self.write_order);
+        let mut skipped_lines = std::mem::take(&mut self.skipped_lines);
+        order.clear();
+        for (bank, q) in self.core.write_qs.iter().enumerate() {
+            order.extend(
+                q.iter()
+                    .enumerate()
+                    .map(|(pos, r)| (r.arrival, r.id, bank, pos)),
+            );
         }
-        candidates.sort_by_key(|r| (r.arrival, r.id));
-        // Same-address write order must be preserved: once an older write
-        // to a line is skipped, newer writes to that line may not jump it.
-        let mut skipped_lines: Vec<pcmap_types::LineAddr> = Vec::new();
-        for req in candidates {
+        // Oldest first by (arrival, id); bank and queue position break
+        // ties in gathering order, as a stable sort of the requests would.
+        order.sort_unstable();
+        skipped_lines.clear();
+        let issued = self.issue_oldest_write(now, degraded, &order, &mut skipped_lines, out);
+        self.write_order = order;
+        self.skipped_lines = skipped_lines;
+        issued
+    }
+
+    /// Visits the queued writes in `order` and issues the first one whose
+    /// chips are free. Returns `true` on issue.
+    fn issue_oldest_write(
+        &mut self,
+        now: Cycle,
+        degraded: bool,
+        order: &[WriteKey],
+        skipped_lines: &mut Vec<LineAddr>,
+        out: &mut Vec<Completion>,
+    ) -> bool {
+        for &(_, _, q, pos) in order {
+            let req = *self.core.write_qs[q].get(pos).expect("queued write");
+            // Same-address write order must be preserved: once an older
+            // write to a line is skipped, newer writes to that line may
+            // not jump it.
             if skipped_lines.contains(&req.line) {
                 continue;
             }
@@ -257,8 +295,8 @@ impl PcmapController {
             };
 
             // Peek the essential set without mutating storage.
-            let stored = self.core.rank.read_line(bank, req.loc.row, req.loc.col);
-            let mask = stored.data.diff_words(&data);
+            let stored = self.core.rank.read_data(bank, req.loc.row, req.loc.col);
+            let mask = stored.diff_words(&data);
 
             if mask.is_empty() {
                 // Silent store — or the tail of a split write whose words
@@ -1243,9 +1281,8 @@ mod tests {
         words: &[usize],
         now: Cycle,
     ) -> MemRequest {
-        let org = MemOrg::tiny();
         let a = PhysAddr::new(addr);
-        let loc = org.decode(a);
+        let loc = c.core.org.decode(a);
         let old = c.rank().read_line(loc.bank, loc.row, loc.col).data;
         let mut data = old;
         for &w in words {
@@ -1318,6 +1355,70 @@ mod tests {
         let data_end = t.t_wl + t.burst + t.array_set;
         assert!(wc[0].done.0 > data_end, "done={:?}", wc[0].done);
         assert_eq!(c.stats().writes_done, 1);
+    }
+
+    /// The first line address that decodes to `bank` on channel 0.
+    fn addr_in_bank(org: &MemOrg, bank: u8) -> u64 {
+        (0..)
+            .map(|k: u64| k * 64 * u64::from(org.channels))
+            .find(|&a| org.decode(PhysAddr::new(a)).bank == BankId(bank))
+            .expect("every bank holds lines")
+    }
+
+    #[test]
+    fn skipped_write_holds_back_newer_writes_to_its_line() {
+        let mut c = ctrl(SystemKind::RwowRde);
+        let org = MemOrg::tiny();
+        let (l, m) = (addr_in_bank(&org, 0), addr_in_bank(&org, 1));
+        let older = write_req(&c, 1, l, &[2], Cycle(0));
+        let newer = write_req(&c, 2, l, &[5], Cycle(1));
+        let other = write_req(&c, 3, m, &[5], Cycle(2));
+        // Hold the data chip of the older write's essential word.
+        let mut held = ChipSet::empty();
+        held.insert_chip(c.layout().chip_of_word(older.line, 2));
+        c.rank_mut()
+            .timing_mut()
+            .reserve(older.loc.bank, held, Cycle(0), Cycle(5_000));
+        for w in [older, newer, other] {
+            c.enqueue_write(w, w.arrival).unwrap();
+        }
+        let out = c.step(Cycle(2));
+        let issued: Vec<u64> = out.iter().map(|x| x.id.0).collect();
+        // The newer write's chips are free, but it may not jump the
+        // blocked older write to the same line; the other line issues.
+        assert_eq!(issued, vec![3]);
+        assert!(c.stats().wr_blocked_data > 0);
+        let rest = run_to_idle(&mut c, Cycle(2));
+        let done = |id: u64| rest.iter().find(|x| x.id.0 == id).expect("completes").done;
+        assert!(done(1) < done(2), "same-line writes complete in order");
+        let loc = older.loc;
+        let ReqKind::Write { data } = newer.kind else {
+            unreachable!()
+        };
+        assert_eq!(c.rank().read_data(loc.bank, loc.row, loc.col), data);
+    }
+
+    #[test]
+    fn writes_issue_oldest_first_across_banks() {
+        let org = MemOrg {
+            banks: 4,
+            ..MemOrg::tiny()
+        };
+        let mut c = PcmapController::new(
+            SystemKind::RwowRde,
+            org,
+            TimingParams::paper_default(),
+            QueueParams::paper_default(),
+            3,
+        );
+        // (bank, arrival, id), enqueued in bank order rather than by age.
+        for (bank, at, id) in [(0, 2, 9), (1, 2, 7), (2, 1, 12), (3, 3, 4)] {
+            let w = write_req(&c, id, addr_in_bank(&org, bank), &[1], Cycle(at));
+            c.enqueue_write(w, Cycle(at)).unwrap();
+        }
+        let out = c.step(Cycle(3));
+        let issued: Vec<u64> = out.iter().map(|x| x.id.0).collect();
+        assert_eq!(issued, vec![12, 7, 9, 4]);
     }
 
     #[test]

@@ -65,6 +65,11 @@ impl RequestQueue {
         self.entries.iter()
     }
 
+    /// The request at `pos` in arrival order.
+    pub fn get(&self, pos: usize) -> Option<&MemRequest> {
+        self.entries.get(pos)
+    }
+
     /// Removes and returns the request with `id`.
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|r| r.id == id)?;

@@ -105,6 +105,12 @@ impl PcmRank {
         ReadOut { data, ecc, pcc }
     }
 
+    /// Reads only the data of the line: `read_line(..).data` without the
+    /// ECC and PCC words, for peeks that diff against stored content.
+    pub fn read_data(&self, bank: BankId, row: RowAddr, col: ColAddr) -> CacheLine {
+        self.storage.load_data(bank, row, col)
+    }
+
     /// Performs a differential write of `new` over the stored line,
     /// returning which words were essential and how hard each was to
     /// program. Storage (including ECC and PCC words) is updated.
@@ -115,8 +121,8 @@ impl PcmRank {
         col: ColAddr,
         new: CacheLine,
     ) -> WriteOutcome {
-        let stored = self.storage.load(bank, row, col);
-        self.write_words(bank, row, col, new, stored.data.diff_words(&new))
+        let old = self.storage.load_data(bank, row, col);
+        self.write_words(bank, row, col, new, old.diff_words(&new))
     }
 
     /// Writes only the words selected by `mask` from `new`, leaving other
@@ -321,6 +327,32 @@ mod tests {
         for i in [0usize, 1, 2, 4, 5, 6, 7] {
             assert_eq!(stored.word(i), old.data.word(i));
         }
+    }
+
+    #[test]
+    fn read_data_equals_read_line_data() {
+        let mut rank = rank();
+        let same = |rank: &PcmRank, c: ColAddr| {
+            assert_eq!(rank.read_data(B, R, c), rank.read_line(B, R, c).data);
+        };
+        // Pristine.
+        same(&rank, ColAddr(0));
+        // Written.
+        let mut new = rank.read_line(B, R, ColAddr(1)).data;
+        new.set_word(5, !new.word(5));
+        rank.write_line(B, R, ColAddr(1), new);
+        same(&rank, ColAddr(1));
+        // Injected bit error.
+        rank.storage_mut().inject_bit_error(B, R, ColAddr(2), 3, 40);
+        same(&rank, ColAddr(2));
+        // Stuck cell that a later write fails to flip.
+        rank.storage_mut().stick_bit(B, R, ColAddr(3), 6, 7);
+        same(&rank, ColAddr(3));
+        let mut flip = rank.read_line(B, R, ColAddr(3)).data;
+        flip.set_word(6, flip.word(6) ^ (1 << 7));
+        rank.write_line(B, R, ColAddr(3), flip);
+        assert_ne!(rank.read_data(B, R, ColAddr(3)), flip);
+        same(&rank, ColAddr(3));
     }
 
     #[test]

@@ -61,8 +61,12 @@ impl RankStorage {
             + col.0 as u64
     }
 
+    fn pristine_data(&self, key: u64) -> CacheLine {
+        CacheLine::from_seed(key ^ self.seed.rotate_left(32) ^ 0x5bd1_e995_9d1c_a3e5)
+    }
+
     fn pristine(&self, key: u64) -> StoredLine {
-        let data = CacheLine::from_seed(key ^ self.seed.rotate_left(32) ^ 0x5bd1_e995_9d1c_a3e5);
+        let data = self.pristine_data(key);
         StoredLine {
             data,
             ecc: self.codec.ecc_word(&data),
@@ -78,6 +82,17 @@ impl RankStorage {
             .get(&key)
             .copied()
             .unwrap_or_else(|| self.pristine(key))
+    }
+
+    /// Reads only the data of the line at the given coordinates: what
+    /// [`Self::load`] returns in `data`, without computing the ECC and PCC
+    /// words of a never-written line.
+    pub fn load_data(&self, bank: BankId, row: RowAddr, col: ColAddr) -> CacheLine {
+        let key = self.key(bank, row, col);
+        match self.lines.get(&key) {
+            Some(stored) => stored.data,
+            None => self.pristine_data(key),
+        }
     }
 
     /// Overwrites the line and its ECC/PCC words. Stuck-at cells keep
@@ -134,7 +149,7 @@ impl RankStorage {
     /// Panics if `word >= 8` or `bit >= 64`.
     pub fn stick_bit(&mut self, bank: BankId, row: RowAddr, col: ColAddr, word: usize, bit: u32) {
         assert!(word < 8 && bit < 64, "word/bit out of range");
-        let value = self.load(bank, row, col).data.word(word) & (1u64 << bit) != 0;
+        let value = self.load_data(bank, row, col).word(word) & (1u64 << bit) != 0;
         let key = self.key(bank, row, col);
         let cells = self.stuck.entry(key).or_default();
         if !cells

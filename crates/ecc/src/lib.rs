@@ -6,7 +6,10 @@
 //! held by a chip that is busy serving a write (§IV-B of the paper).
 //!
 //! - [`hamming`] — a real bit-level Hamming SECDED(72,64): single-error
-//!   correction, double-error detection.
+//!   correction, double-error detection. It is the reference the fast
+//!   path is tested against.
+//! - [`table`] — the same code driven by per-byte lookup tables: the hot
+//!   path that [`line`] uses.
 //! - [`parity`] — the PCC code: XOR parity over the line's words and erased
 //!   word reconstruction.
 //! - [`line`] — per-cache-line codec combining both: the 8-byte ECC word
@@ -32,6 +35,7 @@
 pub mod hamming;
 pub mod line;
 pub mod parity;
+pub mod table;
 
 pub use hamming::{decode, encode, Decoded};
 pub use line::LineCodec;

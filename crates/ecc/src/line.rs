@@ -3,9 +3,11 @@
 //! Each 64-bit data word gets one SECDED check byte; the eight check bytes
 //! of a line pack into the single 64-bit *ECC word* held by the ECC chip.
 //! The *PCC word* is the XOR of the eight data words, held by the PCC chip.
+//! Check bytes come from the table-driven code in [`crate::table`].
 
 use crate::hamming;
 use crate::parity;
+use crate::table;
 use pcmap_types::{CacheLine, WordMask, WORDS_PER_LINE};
 
 /// Computes and verifies the ECC/PCC words of cache lines.
@@ -74,8 +76,7 @@ impl LineCodec {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::EccEncode);
         let mut out = 0u64;
         for i in 0..WORDS_PER_LINE {
-            let byte = hamming::check_byte(hamming::encode(line.word(i)));
-            out |= (byte as u64) << (i * 8);
+            out |= (table::check_of(line.word(i)) as u64) << (i * 8);
         }
         out
     }
@@ -92,9 +93,8 @@ impl LineCodec {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::EccEncode);
         let mut out = old_ecc;
         for i in mask.iter() {
-            let byte = hamming::check_byte(hamming::encode(line.word(i)));
             out &= !(0xffu64 << (i * 8));
-            out |= (byte as u64) << (i * 8);
+            out |= (table::check_of(line.word(i)) as u64) << (i * 8);
         }
         out
     }
@@ -108,8 +108,7 @@ impl LineCodec {
         let mut dead = WordMask::empty();
         for i in 0..WORDS_PER_LINE {
             let check = ((ecc_word >> (i * 8)) & 0xff) as u8;
-            let cw = hamming::assemble(line.word(i), check);
-            match hamming::decode(cw) {
+            match table::decode(line.word(i), check) {
                 hamming::Decoded::Clean { .. } => {}
                 hamming::Decoded::Corrected { data, .. } => {
                     corrected.set_word(i, data);

@@ -873,14 +873,14 @@ impl System {
 
         let kind = if let Some(mask) = dirty {
             // Fabricate contents differing from storage in exactly `mask`.
-            let stored = self.ctrls[ch].rank().read_line(loc.bank, loc.row, loc.col);
-            let mut data = stored.data;
+            let stored = self.ctrls[ch].rank().read_data(loc.bank, loc.row, loc.col);
+            let mut data = stored;
             for w in mask.iter() {
                 let mut flip = self.data_rng.next_u64();
                 if flip == 0 {
                     flip = 1;
                 }
-                data.set_word(w, stored.data.word(w) ^ flip);
+                data.set_word(w, stored.word(w) ^ flip);
             }
             ReqKind::Write { data }
         } else {

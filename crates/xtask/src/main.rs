@@ -2,11 +2,12 @@
 //! workspace binary that shells out to cargo).
 //!
 //! ```text
-//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, check, pardiff, soak, explain, perf --smoke
+//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, perfbench, check, pardiff, soak, explain, perf --smoke
 //! cargo xtask fmt      # rustfmt the whole tree
 //! cargo xtask lint     # pcmap-lint determinism/hygiene pass -> results/lint.json
 //! cargo xtask analyze  # pcmap-analyze semantic passes -> results/analyze.json
 //! cargo xtask clippy   # clippy -D warnings only
+//! cargo xtask perfbench # build and test the benchmark package against the crates
 //! cargo xtask check    # PCMAP_CHECK=1 release experiment runs (protocol invariants)
 //! cargo xtask pardiff  # sweep jobs-1 vs jobs-4 + engine JSON byte-diff gate
 //! cargo xtask soak     # seeded fault-storm recovery gate -> results/soak.json
@@ -106,6 +107,22 @@ fn clippy() -> Result<(), String> {
 
 fn test() -> Result<(), String> {
     step("test", &["test", "--workspace", "-q"])
+}
+
+/// Builds and tests the benchmark package (`perfbench/`, a workspace of
+/// its own that links the crates by path), so a change to a public
+/// signature it times fails here rather than in the benchmark run.
+fn perfbench() -> Result<(), String> {
+    step(
+        "perfbench",
+        &[
+            "test",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+        ],
+    )
 }
 
 /// Runs the headline experiments in release mode with the protocol
@@ -343,6 +360,7 @@ fn main() -> ExitCode {
             .and_then(|()| analyze())
             .and_then(|()| clippy())
             .and_then(|()| test())
+            .and_then(|()| perfbench())
             .and_then(|()| check())
             .and_then(|()| pardiff())
             .and_then(|()| soak())
@@ -354,6 +372,7 @@ fn main() -> ExitCode {
         "analyze" => analyze(),
         "clippy" => clippy(),
         "test" => test(),
+        "perfbench" => perfbench(),
         "check" => check(),
         "pardiff" => pardiff(),
         "soak" => soak(),
@@ -365,7 +384,7 @@ fn main() -> ExitCode {
         ),
         _ => {
             eprintln!(
-                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|soak|serve-soak|explain|perf [--smoke] [--alloc]>"
+                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|perfbench|check|pardiff|soak|serve-soak|explain|perf [--smoke] [--alloc]>"
             );
             return ExitCode::from(2);
         }
