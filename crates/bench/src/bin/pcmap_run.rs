@@ -4,7 +4,7 @@
 //! pcmap_run [--workload NAME] [--system KIND] [--requests N]
 //!           [--ratio R] [--seed S] [--rollback faulty|clean] [--all]
 //!           [--jobs N] [--json PATH] [--csv PATH]
-//!           [--fault-rate R] [--fault-seed S] [--engine cycle|event]
+//!           [--fault-rate R] [--fault-seed S]
 //! ```
 //!
 //! `KIND` is one of `baseline`, `row-nr`, `wow-nr`, `rwow-nr`, `rwow-rd`,
@@ -22,15 +22,10 @@
 //! `--fault-rate R` (with optional `--fault-seed S`, or the `PCMAP_FAULTS`
 //! env variable as `RATE[:SEED]`) runs under a deterministic fault storm
 //! (DESIGN.md §11). The default rate of 0 leaves every fault hook inert.
-//!
-//! `--engine cycle|event` (or `PCMAP_ENGINE`; the flag wins) selects the
-//! execution engine (DESIGN.md §14). Both produce byte-identical reports;
-//! `event` (the default) jumps a binary heap of component horizons
-//! instead of scanning every component at every wake.
 
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_obs::Value;
-use pcmap_sim::{Engine, RunReport, SimConfig, SweepRunner, System, TableBuilder};
+use pcmap_sim::{RunReport, SimConfig, SweepRunner, System, TableBuilder};
 use pcmap_types::{FaultConfig, TimingParams};
 use pcmap_workloads::catalog;
 
@@ -47,7 +42,6 @@ struct Args {
     csv: Option<String>,
     fault_rate: f64,
     fault_seed: u64,
-    engine: Engine,
 }
 
 use pcmap_bench::parse_system;
@@ -66,11 +60,8 @@ fn parse_args() -> Result<Args, String> {
         csv: None,
         fault_rate: 0.0,
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        engine: Engine::Event,
     };
-    // `PCMAP_FAULTS=RATE[:SEED]` and `PCMAP_ENGINE` seed the defaults;
-    // explicit flags win.
-    let mut engine_flag = None;
+    // `PCMAP_FAULTS=RATE[:SEED]` seeds the defaults; explicit flags win.
     if let Some(f) = pcmap_bench::faults_from_env() {
         args.fault_rate = f.rate;
         args.fault_seed = f.seed;
@@ -127,23 +118,18 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad fault seed: {e}"))?;
             }
-            "--engine" => engine_flag = Some(value("--engine")?.parse()?),
             "--help" | "-h" => {
                 println!(
                     "usage: pcmap_run [--workload NAME] [--system KIND] [--requests N] \
                      [--ratio R] [--seed S] [--rollback faulty|clean] [--all] \
                      [--jobs N] [--json PATH] [--csv PATH] \
-                     [--fault-rate R] [--fault-seed S] [--engine cycle|event]"
+                     [--fault-rate R] [--fault-seed S]"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    args.engine = match engine_flag {
-        Some(e) => e,
-        None => Engine::from_env()?,
-    };
     Ok(args)
 }
 
@@ -192,9 +178,8 @@ fn main() {
 
     // Deterministic parallelism (--jobs N): whole runs are farmed to the
     // workers and reported in input order, byte-identical at any N.
-    let reports: Vec<RunReport> = SweepRunner::new(args.jobs).map(kinds, |kind| {
-        build(&args, kind, &wl).run_with_engine(args.engine)
-    });
+    let reports: Vec<RunReport> =
+        SweepRunner::new(args.jobs).map(kinds, |kind| build(&args, kind, &wl).run());
 
     let mut t = TableBuilder::new(&[
         "system",

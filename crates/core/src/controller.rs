@@ -1135,7 +1135,7 @@ impl Controller for PcmapController {
     fn step(&mut self, now: Cycle) -> Vec<Completion> {
         if !self.core.step_due(now) {
             // Not due yet: a step here is defined to be a no-op, which is
-            // what lets the event engine skip it entirely.
+            // what lets the run loop skip it entirely.
             return Vec::new();
         }
         let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlStep);

@@ -31,7 +31,7 @@ fn soup(kind: SystemKind, seed: u64, ops: usize) {
 
     for next_id in 1..=ops as u64 {
         // Random arrival spacing.
-        // pcmap-lint: allow(manual-time-advance, reason = "fuzz driver models request arrival times, not the engine clock")
+        // pcmap-lint: allow(manual-time-advance, reason = "fuzz driver models request arrival times, not the run-loop clock")
         now = Cycle(now.0 + rng.next_below(40));
         let addr = PhysAddr::new(rng.next_below(64) * 64);
         let loc = org.decode(addr);
@@ -147,7 +147,7 @@ fn rotation_levels_wear() {
         let mut rng = Xoshiro256::new(7);
         let mut now = Cycle(0);
         for k in 0..600u64 {
-            // pcmap-lint: allow(manual-time-advance, reason = "fuzz driver models request arrival times, not the engine clock")
+            // pcmap-lint: allow(manual-time-advance, reason = "fuzz driver models request arrival times, not the run-loop clock")
             now = Cycle(now.0 + rng.next_below(30));
             let addr = PhysAddr::new(rng.next_below(128) * 64);
             let loc = org.decode(addr);

@@ -165,7 +165,7 @@ impl CoreModel {
             let step = (cpu_now - self.now)
                 .min(self.compute_remaining)
                 .min(headroom);
-            // pcmap-lint: allow(manual-time-advance, reason = "the core's local clock retires trace-defined compute bursts; the engine observes it only via BusyUntil horizons")
+            // pcmap-lint: allow(manual-time-advance, reason = "the core's local clock retires trace-defined compute bursts; the run loop observes it only via BusyUntil horizons")
             self.now += step;
             self.stats.retired += step;
             self.compute_remaining -= step;

@@ -111,10 +111,10 @@ pub trait Controller: Send {
     /// Makes all issue decisions possible at `now`; returns completions
     /// scheduled during this step (their `done` times are in the future).
     ///
-    /// Event-engine contract (DESIGN.md §14): a call at a `now` before the
+    /// Run-loop contract (DESIGN.md §14): a call at a `now` before the
     /// cached [`Self::next_tick`] horizon is a structural no-op — the
-    /// controller returns without mutating any state — so both engines
-    /// perform identical work regardless of how many cycles they visit.
+    /// controller returns without mutating any state — so the work done
+    /// does not depend on how many cycles the caller visits.
     fn step(&mut self, now: Cycle) -> Vec<Completion>;
 
     /// The cached event horizon: the earliest cycle at which the next
@@ -122,7 +122,7 @@ pub trait Controller: Send {
     /// pending. Recomputed at the end of every non-skipped step body and
     /// reset to [`Cycle::ZERO`] ("due immediately") by every enqueue, so
     /// it is a pure function of simulation state — never of how often the
-    /// engine polled.
+    /// run loop polled.
     fn next_tick(&self) -> Option<Cycle>;
 
     /// The next time this controller could make progress, if any work is
@@ -267,7 +267,7 @@ impl CtrlCore {
 
     /// `true` when the cached event horizon has been reached — i.e. the
     /// step body must run at `now`. A step call while this is `false` is
-    /// the event-engine equivalence contract's structural no-op.
+    /// the run-loop contract's structural no-op.
     #[must_use]
     pub fn step_due(&self, now: Cycle) -> bool {
         self.wake.is_some_and(|w| w <= now)
@@ -276,7 +276,7 @@ impl CtrlCore {
     /// Notes that a blocked issue branch could retry at `t` (the earliest
     /// cycle the branch's feasibility window clears of *current*
     /// reservations). Hints may be early — an early wake just runs one
-    /// extra no-progress body identically in both engines — but must
+    /// extra no-progress body — but must
     /// never be later than the true unblock time of the work they cover.
     pub fn note_hint(&mut self, t: Cycle) {
         self.retry_hint = Some(match self.retry_hint {
@@ -334,7 +334,7 @@ impl CtrlCore {
         self.wake = Some(if wake <= now || wake == Cycle::MAX {
             // Defensive fallback: work is pending but no branch produced a
             // hint — poll the next cycle rather than stall (matches the
-            // pre-event-engine per-cycle behaviour at worst).
+            // per-cycle stepping behaviour at worst).
             Cycle(now.0 + 1)
         } else {
             wake
@@ -1181,7 +1181,7 @@ impl Controller for BaselineController {
     fn step(&mut self, now: Cycle) -> Vec<Completion> {
         if !self.core.step_due(now) {
             // Not due yet: a step here is defined to be a no-op, which is
-            // what lets the event engine skip it entirely.
+            // what lets the run loop skip it entirely.
             return Vec::new();
         }
         let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlStep);

@@ -285,7 +285,7 @@ impl RankTiming {
         self.state.iter().filter_map(|s| s.next_boundary(now)).min()
     }
 
-    /// Event-engine hint (DESIGN.md §14): the next cycle strictly after
+    /// Run-loop horizon hint (DESIGN.md §14): the next cycle strictly after
     /// `now` at which any chip of the rank changes occupancy state.
     /// Alias of [`Self::next_boundary`] under the component `next_tick`
     /// naming convention.
@@ -296,7 +296,7 @@ impl RankTiming {
 
     /// Latest end over reservations on `bank` × `set` that overlap
     /// `[from, until)`, or `None` when the whole window is free on every
-    /// chip of the set. The event engine derives precise retry hints from
+    /// chip of the set. The controllers derive precise retry hints from
     /// this: a request whose feasibility window `[from, until)` shifts
     /// rigidly with `now` becomes issueable (w.r.t. the *current*
     /// reservations) once the window start reaches the returned cycle.

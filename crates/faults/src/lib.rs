@@ -354,7 +354,7 @@ impl FaultPlan {
         }
     }
 
-    /// Event-engine hint (DESIGN.md §14): the next cycle at which the
+    /// Run-loop horizon hint (DESIGN.md §14): the next cycle at which the
     /// degradation machine changes state on its own — the re-promotion
     /// boundary `last_fault + clean_window` while degraded, `None` while
     /// healthy (demotion only ever happens inside a fault hook, which the

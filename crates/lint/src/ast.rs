@@ -153,7 +153,7 @@ pub struct Call {
     /// `None` for free/path calls.
     pub recv: Option<(String, Vec<String>)>,
     /// `::`-separated path for free calls (`["std","env","var"]`,
-    /// `["Engine","from_env"]`); single-element for bare calls. For
+    /// `["Pool","new"]`); single-element for bare calls. For
     /// method calls, just the method name.
     pub path: Vec<String>,
     pub line: usize,
@@ -1050,7 +1050,7 @@ mod tests {
         let items = parse_src(
             "fn f(other: &S) {\n\
                  let v = std::env::var(\"X\");\n\
-                 let e = Engine::from_env();\n\
+                 let p = Pool::new(4);\n\
                  assert_eq!(self_like.width, other.width);\n\
              }\n",
         );
@@ -1059,7 +1059,7 @@ mod tests {
         };
         let b = f.body.as_ref().expect("body");
         assert!(b.calls.iter().any(|c| c.path == ["std", "env", "var"]));
-        assert!(b.calls.iter().any(|c| c.path == ["Engine", "from_env"]));
+        assert!(b.calls.iter().any(|c| c.path == ["Pool", "new"]));
         assert!(b
             .accesses
             .iter()

@@ -14,7 +14,7 @@
 //! | `as-narrowing`       | `as u8/u16/u32/...` on cycle/address-typed values    |
 //! | `float-accumulation` | `+=` on floats in per-cycle stats paths              |
 //! | `manual-time-advance`| `now += 1` / `now = Cycle(now.0 + 1)` clock bumps    |
-//! |                      | outside the engine loops (DESIGN.md §14)             |
+//! |                      | outside the run loop (DESIGN.md §14)                 |
 //! | `bad-suppression`    | malformed / reason-less `pcmap-lint:` directives     |
 //!
 //! The `pcmap-analyze` binary layers the semantic passes of

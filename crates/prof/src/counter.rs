@@ -18,7 +18,7 @@ pub enum Counter {
     FaultDraws,
     /// Items mapped through the worker pool (`Pool::ordered_map`).
     PoolJobs,
-    /// Engine epochs executed (event-loop iterations).
+    /// Run-loop epochs executed (`System::run` iterations).
     Epochs,
     /// Chrome trace events dropped after the in-memory cap was hit.
     TraceDropped,

@@ -7,7 +7,7 @@
 //! crate), and every committed interval is either served in full or
 //! explicitly truncated.
 //!
-//! The channel dimension rides on a thread-local set by the engine
+//! The channel dimension rides on a thread-local set by the run loop
 //! before it steps (or enqueues into) a channel's controller — the
 //! device layer itself has no notion of channels. One rank per channel
 //! in every paper configuration, so "per channel" is "per rank".
@@ -46,7 +46,7 @@ fn cell(channel: usize, bank: usize, chip: usize) -> Option<&'static AtomicU64> 
     }
 }
 
-/// Sets the calling thread's current channel context. The engine calls
+/// Sets the calling thread's current channel context. The run loop calls
 /// this before stepping (or enqueuing into) a channel's controller so
 /// device-level reservations attribute to the right channel.
 #[inline]

@@ -33,12 +33,12 @@ pub enum SpanId {
     /// Join wait in the worker pool (time the calling thread spends
     /// waiting for its slowest sweep worker).
     ParBarrier,
-    /// Delivering due completions to cores (engine phase 1).
+    /// Delivering due completions to cores (run-loop phase 1).
     SimDeliver,
-    /// Core polling and request injection (engine phase 2).
+    /// Core polling and request injection (run-loop phase 2).
     SimPoll,
     /// Stepping all channel controllers in channel order and queueing
-    /// their completions (engine phase 3).
+    /// their completions (run-loop phase 3).
     SimStep,
 }
 

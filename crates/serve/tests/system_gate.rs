@@ -5,12 +5,12 @@
 //! `pcmap_sim::System`; these tests pin the integration contract:
 //! a gateless run is byte-identical to the pre-serve simulator (no
 //! `serve` key in the JSON), a gated run stays byte-identical across
-//! engines and sweep worker counts, and the gate's ledger conserves
+//! sweep worker counts, and the gate's ledger conserves
 //! every request it ever sees.
 
 use pcmap_core::SystemKind;
 use pcmap_serve::TokenGate;
-use pcmap_sim::{Engine, SimConfig, SweepRunner, System};
+use pcmap_sim::{SimConfig, SweepRunner, System};
 use pcmap_types::{ServeSummary, SloSpec};
 use pcmap_workloads::catalog;
 
@@ -62,23 +62,23 @@ fn gateless_report_has_no_serve_block() {
 }
 
 #[test]
-fn gated_run_is_byte_identical_across_engines_and_jobs() {
+fn gated_run_is_byte_identical_across_jobs() {
     let c = cfg(800);
     let cores = usize::from(c.cpu.cores);
     let (serial, serve) = run_gated(&c, Some(tight_gate(cores)));
     let serve = serve.expect("gate attached");
     assert!(serve.conserved(), "{serve:?}");
     assert!(serial.contains("\"serve\""));
-    let engines = vec![Engine::Cycle, Engine::Event];
     for jobs in [1usize, 4] {
-        let reports = SweepRunner::new(jobs).map(engines.clone(), |engine| {
-            gated_system(&c, Some(tight_gate(cores))).run_with_engine(engine)
+        // Two concurrent copies at jobs 4: neither may leak into the other.
+        let reports = SweepRunner::new(jobs).map(vec![(); 2], |()| {
+            gated_system(&c, Some(tight_gate(cores))).run()
         });
-        for (engine, r) in engines.iter().zip(&reports) {
+        for r in &reports {
             assert_eq!(
                 serial,
                 r.to_json().to_json_string(),
-                "gated {engine:?} run diverged at sweep jobs = {jobs}"
+                "gated run diverged at sweep jobs = {jobs}"
             );
             assert_eq!(Some(serve), r.serve);
         }

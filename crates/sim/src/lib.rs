@@ -28,7 +28,7 @@ pub mod report;
 pub mod sweep;
 pub mod system;
 
-pub use engine::{Engine, EventHeap, Tick, TickSource};
+pub use engine::Engine;
 pub use ingest::{GateDecision, IngressGate};
 pub use report::TableBuilder;
 pub use sweep::{SweepPoint, SweepRunner};

@@ -1,6 +1,6 @@
 //! The event-driven full-system simulation.
 
-use crate::engine::{Engine, EventHeap, TickSource};
+use crate::engine::Engine;
 use crate::ingest::{GateDecision, IngressGate};
 use pcmap_core::{build_controller, RollbackMode, SystemKind};
 use pcmap_cpu::core_model::{cpu_to_mem, mem_to_cpu, CoreAction, CoreModel};
@@ -418,8 +418,7 @@ pub struct System {
     awaiting_delivery: Vec<bool>,
     /// Per-core poll horizon: the memory cycle at which polling the core
     /// can next change its state (`None` while it waits on a delivery or
-    /// is finished). Both engines honour it, so a core's clock advances
-    /// at exactly the same cycles either way.
+    /// is finished).
     core_next: Vec<Option<Cycle>>,
     /// Cores that must be polled this epoch regardless of `core_next`
     /// (set by read deliveries).
@@ -430,7 +429,6 @@ pub struct System {
     budget_per_core: u64,
     issued_per_core: Vec<u64>,
     deliveries: BinaryHeap<Reverse<Delivery>>,
-    crawl_steps: u32,
     /// Simulator-level metric registry (injection-loop accounting).
     registry: MetricRegistry,
     m_requests: CounterId,
@@ -525,7 +523,6 @@ impl System {
             budget_per_core,
             issued_per_core: vec![0; n],
             deliveries: BinaryHeap::new(),
-            crawl_steps: 0,
             registry,
             m_requests,
             m_retries,
@@ -580,25 +577,22 @@ impl System {
         &mut self.ctrls
     }
 
-    /// Runs to completion and produces the report. The engine comes from
-    /// `PCMAP_ENGINE` ([`Engine::from_env`], default event).
-    ///
-    /// # Panics
-    ///
-    /// If `PCMAP_ENGINE` names no engine.
-    pub fn run(self) -> RunReport {
-        self.run_with_engine(Engine::from_env().unwrap_or_else(|e| panic!("{e}")))
+    /// Forwards to [`Self::run`]; the `perfbench` benchmark is its only
+    /// caller.
+    pub fn run_with_engine(self, _engine: Engine) -> RunReport {
+        self.run()
     }
 
-    /// Runs to completion under an explicit [`Engine`].
-    pub fn run_with_engine(mut self, engine: Engine) -> RunReport {
+    /// Runs to completion and produces the report.
+    ///
+    /// Each epoch delivers due completions, polls the cores, steps the
+    /// controllers, then jumps to the earliest horizon: the delivery
+    /// heap's head, every controller's [`Controller::next_wake`] and
+    /// every core's `core_next` (DESIGN.md §14).
+    pub fn run(mut self) -> RunReport {
         let mut now = Cycle(0);
-        // Event engine: heap of cached component horizons. Channel
-        // horizons come from `Controller::next_tick`, core horizons from
-        // `core_next`; both are exactly what the cycle engine re-scans
-        // every epoch, so the two engines jump to identical cycles.
-        let mut heap =
-            (engine == Engine::Event).then(|| EventHeap::new(self.ctrls.len(), self.cores.len()));
+        // Consecutive single-cycle steps; bounds a livelock.
+        let mut crawl_steps = 0u32;
         loop {
             pcmap_prof::bump(pcmap_prof::Counter::Epochs);
             // 1. Deliver due completions to cores.
@@ -609,7 +603,7 @@ impl System {
                         break;
                     }
                     self.deliveries.pop();
-                    self.deliver(d, now);
+                    self.deliver(d);
                 }
             }
 
@@ -633,43 +627,26 @@ impl System {
             }
 
             // 4. Find the next event.
-            if self.finished(now) {
+            if self.finished() {
                 break;
             }
             let mut next = Cycle::MAX;
             if let Some(Reverse(d)) = self.deliveries.peek() {
                 next = next.min(d.when);
             }
-            match heap.as_mut() {
-                Some(h) => {
-                    // Event engine: refresh changed horizons, then read
-                    // the heap minimum. `update` is a no-op for sources
-                    // whose horizon did not move this epoch.
-                    for (ch, ctrl) in self.ctrls.iter().enumerate() {
-                        h.update(TickSource::Channel(ch), ctrl.next_tick());
-                    }
-                    for (i, &t) in self.core_next.iter().enumerate() {
-                        h.update(TickSource::Core(i), t);
-                    }
-                    next = next.min(h.earliest());
+            for ctrl in &self.ctrls {
+                if let Some(w) = ctrl.next_wake(now) {
+                    next = next.min(w);
                 }
-                None => {
-                    // Cycle engine: re-scan every component.
-                    for ctrl in &self.ctrls {
-                        if let Some(w) = ctrl.next_wake(now) {
-                            next = next.min(w);
-                        }
-                    }
-                    for &t in &self.core_next {
-                        if let Some(t) = t {
-                            next = next.min(t);
-                        }
-                    }
+            }
+            for &t in &self.core_next {
+                if let Some(t) = t {
+                    next = next.min(t);
                 }
             }
             if next == Cycle::MAX || next <= now {
-                self.crawl_steps += 1;
-                if self.crawl_steps > 500_000 {
+                crawl_steps += 1;
+                if crawl_steps > 500_000 {
                     panic!(
                         "simulation livelock at {:?}: rq={:?} wq={:?} deliveries={} cores_fin={:?}",
                         now,
@@ -688,10 +665,10 @@ impl System {
                             .collect::<Vec<_>>(),
                     );
                 }
-                // pcmap-lint: allow(manual-time-advance, reason = "the engine crawl step itself: when no component publishes a horizon the loop single-steps")
+                // pcmap-lint: allow(manual-time-advance, reason = "the run loop's crawl step itself: when no component publishes a horizon the loop single-steps")
                 now = Cycle(now.0 + 1);
             } else {
-                self.crawl_steps = 0;
+                crawl_steps = 0;
                 now = next;
             }
             if now.0 > self.cfg.max_mem_cycles {
@@ -707,7 +684,7 @@ impl System {
         self.report(now)
     }
 
-    fn deliver(&mut self, d: Delivery, _now: Cycle) {
+    fn deliver(&mut self, d: Delivery) {
         if let Some(gate) = self.gate.as_mut() {
             gate.note_complete(d.core, d.is_read, d.when);
         }
@@ -776,9 +753,9 @@ impl System {
         let cpu_now = mem_to_cpu(now, &self.cfg.cpu);
         for i in 0..self.cores.len() {
             // Poll only when due: a poll advances the core's local clock
-            // (`CoreModel::poll` maxes it with `cpu_now`), so gating it
-            // identically in both engines is what keeps per-core stall
-            // accounting byte-identical between them.
+            // (`CoreModel::poll` maxes it with `cpu_now`), so per-core
+            // stall accounting depends on the horizon, not on how many
+            // cycles the loop visits.
             if !(self.core_due[i] || self.core_next[i].is_some_and(|t| t <= now)) {
                 continue;
             }
@@ -846,7 +823,7 @@ impl System {
     fn try_issue(&mut self, i: usize, is_read: bool, now: Cycle) -> bool {
         // Serve-tier admission (DESIGN.md §16): a deferred request is
         // charged to the core exactly like a full controller queue, so
-        // both engines re-poll it at the gate's wake cycle.
+        // the loop re-polls it at the gate's wake cycle.
         if let Some(gate) = self.gate.as_mut() {
             if let GateDecision::Defer(until) = gate.admit(i, is_read, now) {
                 self.registry.add(self.m_retries, 1);
@@ -946,7 +923,7 @@ impl System {
         }
     }
 
-    fn finished(&self, _now: Cycle) -> bool {
+    fn finished(&self) -> bool {
         self.cores.iter().all(|c| c.is_finished())
             && self.deliveries.is_empty()
             && self.ctrls.iter().all(|c| c.next_tick().is_none())

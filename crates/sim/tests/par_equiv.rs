@@ -46,27 +46,41 @@ fn assert_sweep_matches_serial(points: &[SweepPoint], jobs: usize, label: &str) 
     );
 }
 
-/// The headline matrix: {baseline, PCMap} × {2 workloads} × {2 scales},
-/// one sweep at 4 workers vs the same sweep inline.
+/// The headline matrix: {baseline, PCMap} × {2 workloads} × {3 scales},
+/// plus WoW-NR and RWoW-RD on canneal at 1 000 requests, one sweep at 4
+/// workers vs the same sweep inline. The 1 000-request points are the
+/// fig08 and fig10 golden scenarios.
 #[test]
 fn matrix_sweep_json_is_byte_identical_to_serial() {
     let mut points = Vec::new();
     for kind in [SystemKind::Baseline, SystemKind::RwowRde] {
         for workload in ["streamcluster", "canneal"] {
-            for requests in [400u64, 1500] {
+            for requests in [400u64, 1000, 1500] {
                 points.push(point(cfg(kind, requests), workload));
             }
         }
+    }
+    for kind in [SystemKind::WowNr, SystemKind::RwowRd] {
+        points.push(point(cfg(kind, 1000), "canneal"));
     }
     assert_sweep_matches_serial(&points, 4, "kind x workload x scale matrix");
 }
 
 /// Rollback accounting runs its own per-core RNG streams; the always-
-/// faulty mode must stay on them whichever worker runs the point.
+/// faulty mode must stay on them whichever worker runs the point. The
+/// MP6 points at 3 500 requests are the tab04 golden scenario.
 #[test]
 fn sweep_matches_serial_under_rollback_accounting() {
-    let points = [RollbackMode::AlwaysFaulty, RollbackMode::NeverFaulty]
-        .map(|mode| point(cfg(SystemKind::RwowNr, 1200).with_rollback(mode), "canneal"));
+    let mut points: Vec<SweepPoint> = [RollbackMode::AlwaysFaulty, RollbackMode::NeverFaulty]
+        .map(|mode| point(cfg(SystemKind::RwowNr, 1200).with_rollback(mode), "canneal"))
+        .into();
+    for (kind, mode) in [
+        (SystemKind::Baseline, RollbackMode::NeverFaulty),
+        (SystemKind::RwowNr, RollbackMode::AlwaysFaulty),
+        (SystemKind::RwowNr, RollbackMode::NeverFaulty),
+    ] {
+        points.push(point(cfg(kind, 3500).with_rollback(mode), "MP6"));
+    }
     assert_sweep_matches_serial(&points, 4, "rollback accounting");
 }
 

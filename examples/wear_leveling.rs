@@ -25,7 +25,7 @@ fn hammer(kind: SystemKind) -> PcmapController {
     let mut rng = Xoshiro256::new(7);
     let mut now = Cycle(0);
     for k in 0..3_000u64 {
-        // pcmap-lint: allow(manual-time-advance, reason = "example driver models request arrival times, not the engine clock")
+        // pcmap-lint: allow(manual-time-advance, reason = "example driver models request arrival times, not the run-loop clock")
         now = Cycle(now.0 + rng.next_below(25));
         let addr = PhysAddr::new(rng.next_below(128) * 64);
         let loc = org.decode(addr);

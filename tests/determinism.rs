@@ -1,13 +1,12 @@
 //! Determinism and conservation guard over a small point set.
 //!
 //! A sweep renders byte-identical RunReport JSON at any worker count, the
-//! two execution engines agree byte-for-byte, the protocol checker stays
-//! green, a fault storm is recovered visibly, and every issued request
-//! completes. The point set is small enough to run in seconds in a debug
+//! protocol checker stays green, a fault storm is recovered visibly, and
+//! every issued request completes. The point set is small enough to run in seconds in a debug
 //! build.
 
 use pcmap::core::{RollbackMode, SystemKind};
-use pcmap::sim::{Engine, RunReport, SimConfig, SweepPoint, SweepRunner, System};
+use pcmap::sim::{RunReport, SimConfig, SweepPoint, SweepRunner};
 use pcmap::types::FaultConfig;
 use pcmap::workloads::catalog;
 
@@ -58,13 +57,6 @@ fn sweep_json_is_identical_at_jobs_1_and_4() {
         .map(json)
         .collect();
     assert_eq!(serial, parallel);
-}
-
-#[test]
-fn cycle_and_event_engines_agree() {
-    let p = &points()[1];
-    let run = |engine| System::new(p.cfg.clone(), p.workload.clone()).run_with_engine(engine);
-    assert_eq!(json(&run(Engine::Cycle)), json(&run(Engine::Event)));
 }
 
 #[test]
