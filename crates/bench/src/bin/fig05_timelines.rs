@@ -9,9 +9,9 @@ use pcmap_ctrl::{BaselineController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_obs::ChipTrace;
 use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
 
-/// Renders the chip-timeline Gantt from a controller's event stream.
+/// Renders the chip-timeline Gantt from a controller's lifecycle tracer.
 fn gantt(ctrl: &dyn Controller, bank: pcmap_types::BankId) -> String {
-    ChipTrace::from_events(ctrl.events()).render_gantt(bank, 4)
+    ChipTrace::from_timelines(ctrl.lifetrace().timelines()).render_gantt(bank, 4)
 }
 
 fn write_req(ctrl: &dyn Controller, id: u64, addr: u64, words: &[usize]) -> MemRequest {
@@ -59,7 +59,7 @@ fn drive(ctrl: &mut dyn Controller, mut now: Cycle) {
 }
 
 fn scenario_row(ctrl: &mut dyn Controller) {
-    ctrl.set_trace(true);
+    ctrl.set_lifetrace(true);
     let w = write_req(ctrl, 1, 0, &[3]);
     ctrl.enqueue_write(w, Cycle(0)).unwrap();
     ctrl.step(Cycle(0));
@@ -71,7 +71,7 @@ fn scenario_row(ctrl: &mut dyn Controller) {
 }
 
 fn scenario_wow(ctrl: &mut dyn Controller) {
-    ctrl.set_trace(true);
+    ctrl.set_lifetrace(true);
     let a = write_req(ctrl, 1, 0, &[2, 5]);
     let b = write_req(ctrl, 2, 1024, &[3, 6]);
     let c = write_req(ctrl, 3, 2048, &[4]);

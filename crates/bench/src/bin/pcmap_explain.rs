@@ -215,11 +215,11 @@ fn render_timelines(lc: &LifecycleReport, top: usize) {
             let chips: Vec<String> = t
                 .chip_service
                 .iter()
-                .map(|(c, s, e)| format!("chip{} [{} → {})", c.0, s.0, e.0))
+                .map(|r| format!("chip{} [{} → {})", r.chip.0, r.start.0, r.end.0))
                 .collect();
             println!("    service on: {}", chips.join(", "));
         }
-        if let Some((vs, ve)) = t.verify {
+        if let Some((vs, ve)) = t.verify() {
             println!("    verify: [{} → {})", vs.0, ve.0);
         }
     }

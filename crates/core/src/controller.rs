@@ -36,9 +36,7 @@ use pcmap_ctrl::request::{Completion, MemRequest, ReqId, ReqKind};
 use pcmap_ctrl::stats::CtrlStats;
 use pcmap_ctrl::BusDir;
 use pcmap_device::PcmRank;
-use pcmap_obs::{
-    Event, EventKind, EventLog, EventSink, LifecycleTracer, RecoveryKind, Resource, WaitCause,
-};
+use pcmap_obs::{ChipRole, LifecycleTracer, RecoveryKind, Resource, WaitCause};
 use pcmap_types::{
     BankId, ChipId, ChipSet, Cycle, Duration, LineAddr, MemOrg, QueueParams, TimingParams, WordMask,
 };
@@ -501,12 +499,6 @@ impl PcmapController {
         if overlapping {
             self.core.stats.wow_overlaps += 1;
         }
-        self.core.events.record(Event {
-            at: start,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: true },
-        });
 
         // Step 1: data chips + ECC chip.
         let upd = op::check_chip_write_occupancy(&self.core.t);
@@ -531,11 +523,6 @@ impl PcmapController {
                 .rank
                 .wear_mut()
                 .record(chip, outcome.bits_per_word[w]);
-            self.core
-                .events
-                .chip_occupy(req.id.0, bank, chip, start, end, || {
-                    format!("Wr-{}", req.id.0)
-                });
         }
         let ecc_chip = self.layout.ecc_chip(req.line);
         let ecc_end = start + upd;
@@ -555,9 +542,6 @@ impl PcmapController {
         );
         self.core.rank.wear_mut().record(ecc_chip, 8);
         self.core.rank.energy_mut().record_write(4, 4);
-        self.core
-            .events
-            .chip_occupy(req.id.0, bank, ecc_chip, start, ecc_end, || "E".to_owned());
 
         // Step 2: PCC update immediately after the data phase.
         let pcc_chip = self.layout.pcc_chip(req.line);
@@ -579,11 +563,6 @@ impl PcmapController {
         );
         self.core.rank.wear_mut().record(pcc_chip, 8);
         self.core.rank.energy_mut().record_write(4, 4);
-        self.core
-            .events
-            .chip_occupy(req.id.0, bank, pcc_chip, data_end, pcc_end, || {
-                "P".to_owned()
-            });
 
         // Fault hooks (inert without a plan): this write may burn out a
         // cell, and one essential chip may run slow or hang. A slow chip
@@ -598,17 +577,24 @@ impl PcmapController {
             // Service covers step 1 + step 2 (+ any fault stretch); the
             // chip windows below carry the per-phase detail.
             self.core.lifetrace.issue(req.id.0, now, start, done);
-            for w in outcome.essential.iter() {
-                let chip = self.layout.chip_of_word(req.line, w);
+            let data = outcome.essential.iter().map(|w| {
                 let end = program_start + outcome.kinds[w].duration(&self.core.t);
-                self.core.lifetrace.chip_service(req.id.0, chip, start, end);
+                (
+                    self.layout.chip_of_word(req.line, w),
+                    ChipRole::Data,
+                    start,
+                    end,
+                )
+            });
+            let updates = [
+                (ecc_chip, ChipRole::EccUpdate, start, ecc_end),
+                (pcc_chip, ChipRole::PccUpdate, data_end, pcc_end),
+            ];
+            for (chip, role, start, end) in data.chain(updates) {
+                self.core
+                    .lifetrace
+                    .chip_service(req.id.0, bank, chip, role, start, end);
             }
-            self.core
-                .lifetrace
-                .chip_service(req.id.0, ecc_chip, start, ecc_end);
-            self.core
-                .lifetrace
-                .chip_service(req.id.0, pcc_chip, data_end, pcc_end);
         }
         self.core.stats.irlp.open_window(bank, start, data_end);
         self.inflight.push(InflightWrite {
@@ -632,15 +618,6 @@ impl PcmapController {
         self.core.lifetrace.complete(req.id.0, done);
         let lw = &mut self.core.last_write_end[bank.index()];
         *lw = (*lw).max(done);
-        self.core.events.record(Event {
-            at: done,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Complete {
-                is_write: true,
-                latency: done.since(req.arrival),
-            },
-        });
         out.push(Completion {
             id: req.id,
             core: req.core,
@@ -910,12 +887,6 @@ impl PcmapController {
         pcmap_prof::bump(pcmap_prof::Counter::CommandsIssued);
         self.core.read_q.remove(req.id).expect("read still queued");
         let bank = req.loc.bank;
-        self.core.events.record(Event {
-            at: start,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: false },
-        });
 
         // Commit bus and chips (data_ready was computed from next_slot, so
         // this reserve lands exactly there).
@@ -974,15 +945,7 @@ impl PcmapController {
         if via_row {
             self.core.stats.reads_via_row += 1;
         }
-        if let Some(missing) = reconstructed {
-            self.core.events.record(Event {
-                at: start,
-                req: req.id.0,
-                bank,
-                kind: EventKind::RowReconstruct { missing },
-            });
-        }
-        let mut verify_span: Option<(Cycle, Cycle)> = None;
+        let mut verify_span: Option<(ChipSet, Cycle, Cycle)> = None;
         let verify_done = if deferred_ecc.is_some() {
             // Deferred verify: one-chip read on the busy data chip (if
             // any) plus the ECC chip, once both are completely free.
@@ -1013,18 +976,7 @@ impl PcmapController {
                 .timing_mut()
                 .reserve(bank, verify_set, vs, ve);
             self.core.stats.row_verifies += 1;
-            self.core.events.record(Event {
-                at: start,
-                req: req.id.0,
-                bank,
-                kind: EventKind::DeferredVerify,
-            });
-            for chip in verify_set.chips() {
-                self.core
-                    .events
-                    .chip_occupy(req.id.0, bank, chip, vs, ve, || "V".to_owned());
-            }
-            verify_span = Some((vs, ve));
+            verify_span = Some((verify_set, vs, ve));
             Some(ve)
         } else {
             None
@@ -1044,13 +996,17 @@ impl PcmapController {
             self.core
                 .lifetrace
                 .issue(req.id.0, decided, start, service_end);
-            for chip in read_set.chips() {
+            let data = read_set
+                .chips()
+                .map(|chip| (chip, ChipRole::Data, start, data_ready));
+            let verify = verify_span.into_iter().flat_map(|(set, vs, ve)| {
+                set.chips()
+                    .map(move |chip| (chip, ChipRole::Verify, vs, ve))
+            });
+            for (chip, role, start, end) in data.chain(verify) {
                 self.core
                     .lifetrace
-                    .chip_service(req.id.0, chip, start, service_end);
-            }
-            if let Some((vs, ve)) = verify_span {
-                self.core.lifetrace.verify(req.id.0, vs, ve);
+                    .chip_service(req.id.0, bank, chip, role, start, end);
             }
             if res.reconstruct_extra.0 > 0 {
                 self.core.lifetrace.recovery(
@@ -1085,21 +1041,7 @@ impl PcmapController {
             if self.layout.ecc_chip(req.line) != chip {
                 self.core.stats.irlp.record_segment(bank, start, data_ready);
             }
-            self.core
-                .events
-                .chip_occupy(req.id.0, bank, chip, start, data_ready, || {
-                    format!("Rd-{}", req.id.0)
-                });
         }
-        self.core.events.record(Event {
-            at: data_ready,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Complete {
-                is_write: false,
-                latency: data_ready.since(req.arrival),
-            },
-        });
 
         self.core
             .checker
@@ -1197,14 +1139,6 @@ impl Controller for PcmapController {
 
     fn rank_mut(&mut self) -> &mut PcmRank {
         &mut self.core.rank
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.core.events.set_enabled(enabled);
     }
 
     fn lifetrace(&self) -> &LifecycleTracer {

@@ -18,9 +18,7 @@ use crate::stats::CtrlStats;
 use pcmap_device::PcmRank;
 use pcmap_ecc::line::LineCheck;
 use pcmap_faults::{ChipFault, FaultPlan};
-use pcmap_obs::{
-    Event, EventKind, EventLog, EventSink, LifecycleTracer, RecoveryKind, Resource, WaitCause,
-};
+use pcmap_obs::{ChipRole, LifecycleTracer, RecoveryKind, Resource, WaitCause};
 use pcmap_types::{
     BankId, ChipId, ChipSet, ColAddr, Cycle, Duration, MemOrg, QueueParams, RowAddr, TimingParams,
 };
@@ -83,7 +81,7 @@ impl ReadResolution {
 /// payload is intentional (`clippy::result_large_err` is waived).
 ///
 /// `Send` is a supertrait: a channel's whole state (queues, bus, rank,
-/// wear, RNG stream, event log) is channel-private, so a controller can
+/// wear, RNG stream, lifecycle tracer) is channel-private, so a controller can
 /// move to whichever sweep worker runs its system.
 #[allow(clippy::result_large_err)]
 pub trait Controller: Send {
@@ -144,13 +142,9 @@ pub trait Controller: Send {
     fn rank(&self) -> &PcmRank;
     /// Mutable rank access (fault injection, inspection).
     fn rank_mut(&mut self) -> &mut PcmRank;
-    /// The request-lifecycle event log (chip-occupancy timelines are the
-    /// [`pcmap_obs::ChipTrace`] view over it).
-    fn events(&self) -> &EventLog;
-    /// Enables or disables lifecycle event recording.
-    fn set_trace(&mut self, enabled: bool);
     /// The per-request causal-timeline tracer (disabled by default; see
-    /// [`pcmap_obs::LifecycleTracer`] and DESIGN.md §13).
+    /// [`pcmap_obs::LifecycleTracer`] and DESIGN.md §13). Its chip records
+    /// are also the source of the [`pcmap_obs::ChipTrace`] Gantt view.
     fn lifetrace(&self) -> &LifecycleTracer;
     /// Enables or disables causal lifecycle tracing.
     fn set_lifetrace(&mut self, enabled: bool);
@@ -202,8 +196,6 @@ pub struct CtrlCore {
     pub bus: ChannelBus,
     /// Statistics.
     pub stats: CtrlStats,
-    /// Lifecycle event log (disabled by default).
-    pub events: EventLog,
     /// Per-request causal timelines: every simulated cycle of a traced
     /// request attributed to a wait cause or service phase (disabled by
     /// default; DESIGN.md §13).
@@ -252,7 +244,6 @@ impl CtrlCore {
             drains: (0..org.banks).map(|_| DrainPolicy::new(&q)).collect(),
             bus: ChannelBus::new(),
             stats: CtrlStats::new(org.banks as usize),
-            events: EventLog::disabled(),
             lifetrace: LifecycleTracer::disabled(),
             last_write_end: vec![Cycle::ZERO; org.banks as usize],
             last_drain_exit: Cycle::ZERO,
@@ -381,12 +372,6 @@ impl CtrlCore {
         // recomputed: mark the controller due immediately.
         self.wake = Some(Cycle::ZERO);
         self.last_read_activity = Some(self.last_read_activity.unwrap_or(Cycle::ZERO).max(now));
-        self.events.record(Event {
-            at: now,
-            req: req.id.0,
-            bank: req.loc.bank,
-            kind: EventKind::Arrival { is_write: false },
-        });
         if self.write_qs[req.loc.bank.index()]
             .newest_to_line(req.line)
             .is_some()
@@ -398,23 +383,6 @@ impl CtrlCore {
             self.stats
                 .read_latency_hist
                 .record(done.since(req.arrival).as_u64());
-            if self.events.is_enabled() {
-                self.events.record(Event {
-                    at: now,
-                    req: req.id.0,
-                    bank: req.loc.bank,
-                    kind: EventKind::Forwarded,
-                });
-                self.events.record(Event {
-                    at: done,
-                    req: req.id.0,
-                    bank: req.loc.bank,
-                    kind: EventKind::Complete {
-                        is_write: false,
-                        latency: done.since(req.arrival),
-                    },
-                });
-            }
             self.lifetrace.forwarded(req.id.0, req.arrival, done);
             return Ok(Some(Completion {
                 id: req.id,
@@ -442,22 +410,8 @@ impl CtrlCore {
         let d = &mut self.drains[bank.index()];
         let before = d.state();
         let after = d.update(backlog);
-        if before == DrainState::Normal && after == DrainState::Draining {
-            self.events.record(Event {
-                at: now,
-                req: pcmap_obs::NO_REQ,
-                bank,
-                kind: EventKind::DrainStart { backlog },
-            });
-        }
         if before == DrainState::Draining && after == DrainState::Normal {
             self.last_drain_exit = now;
-            self.events.record(Event {
-                at: now,
-                req: pcmap_obs::NO_REQ,
-                bank,
-                kind: EventKind::DrainEnd,
-            });
         }
         after
     }
@@ -474,17 +428,11 @@ impl CtrlCore {
     /// Returns the request back if that bank's queue is full.
     #[allow(clippy::result_large_err)] // request handed back by value on a full queue
     pub fn enqueue_write_common(&mut self, req: MemRequest) -> Result<(), MemRequest> {
-        let (at, id, bank) = (req.arrival, req.id.0, req.loc.bank);
+        let (at, id) = (req.arrival, req.id.0);
         self.write_qs[req.loc.bank.index()].push(req)?;
         // Fresh work: mark the controller due immediately so the next
         // step body runs and recomputes the event horizon.
         self.wake = Some(Cycle::ZERO);
-        self.events.record(Event {
-            at,
-            req: id,
-            bank,
-            kind: EventKind::Arrival { is_write: true },
-        });
         self.lifetrace.arrival(id, at, true);
         Ok(())
     }
@@ -620,9 +568,9 @@ impl CtrlCore {
 
         if self.lifetrace.enabled() {
             self.lifetrace.issue(req.id.0, now, now, service_end);
-            for chip in set.chips() {
+            for chip in ChipSet::data_chips_fixed().chips() {
                 self.lifetrace
-                    .chip_service(req.id.0, chip, now, service_end);
+                    .chip_service(req.id.0, bank, chip, ChipRole::Data, now, data_ready);
             }
             if res.reconstruct_extra.0 > 0 {
                 self.lifetrace.recovery(
@@ -650,29 +598,10 @@ impl CtrlCore {
             .read_latency_hist
             .record(data_ready.since(req.arrival).as_u64());
 
-        self.events.record(Event {
-            at: now,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: false },
-        });
         // IRLP: eight data-word-serving chips.
-        for chip in ChipSet::data_chips_fixed().chips() {
+        for _chip in ChipSet::data_chips_fixed().chips() {
             self.stats.irlp.record_segment(bank, now, data_ready);
-            self.events
-                .chip_occupy(req.id.0, bank, chip, now, data_ready, || {
-                    format!("Rd-{}", req.id.0)
-                });
         }
-        self.events.record(Event {
-            at: data_ready,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Complete {
-                is_write: false,
-                latency: data_ready.since(req.arrival),
-            },
-        });
 
         Completion {
             id: req.id,
@@ -761,12 +690,6 @@ impl CtrlCore {
             .reserve(BusDir::Write, now + Duration(self.t.t_wl), &self.t);
         let program_start = transfer + Duration(self.t.burst);
 
-        self.events.record(Event {
-            at: now,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: true },
-        });
         let mut done = program_start + Duration(self.t.array_read); // compare-only chips
         for i in outcome.essential.iter() {
             let end = program_start + outcome.kinds[i].duration(&self.t);
@@ -775,20 +698,13 @@ impl CtrlCore {
             let chip = ChipId(i as u8);
             self.stats.irlp.record_segment(bank, now, end);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[i]);
-            self.events.chip_occupy(req.id.0, bank, chip, now, end, || {
-                format!("Wr-{}", req.id.0)
-            });
         }
-        if !outcome.silent {
-            // The ECC chip is rewritten alongside (not counted in IRLP).
-            let ecc_end = program_start + Duration(self.t.array_set);
+        // The ECC chip is rewritten alongside (not counted in IRLP).
+        let ecc_end = (!outcome.silent).then(|| program_start + Duration(self.t.array_set));
+        if let Some(ecc_end) = ecc_end {
             done = done.max(ecc_end);
             self.rank.wear_mut().record(ChipId::ECC, 8);
             self.rank.energy_mut().record_write(4, 4);
-            self.events
-                .chip_occupy(req.id.0, bank, ChipId::ECC, now, ecc_end, || {
-                    format!("We-{}", req.id.0)
-                });
         }
 
         let set = Self::baseline_write_set();
@@ -803,33 +719,23 @@ impl CtrlCore {
 
         if self.lifetrace.enabled() {
             self.lifetrace.issue(req.id.0, now, now, done);
-            for i in outcome.essential.iter() {
-                let end = program_start + outcome.kinds[i].duration(&self.t);
+            let data = outcome.essential.iter().map(|i| {
+                (
+                    ChipId(i as u8),
+                    program_start + outcome.kinds[i].duration(&self.t),
+                )
+            });
+            for (chip, end) in data.chain(ecc_end.map(|e| (ChipId::ECC, e))) {
                 self.lifetrace
-                    .chip_service(req.id.0, ChipId(i as u8), now, end);
+                    .chip_service(req.id.0, bank, chip, ChipRole::Data, now, end);
             }
             self.lifetrace.complete(req.id.0, done);
         }
 
         self.stats.irlp.open_window(bank, now, done);
-        // Re-record the write's own segments into the fresh window: the
-        // window must see them even though they were recorded above.
-        // (record_segment already clips into open windows; since the window
-        // opened after, we record the essential segments again via the
-        // tracker's active list — which `open_window` consults. Nothing to
-        // do here.)
 
         self.stats.record_write_done(done);
         self.last_write_end[bank.index()] = self.last_write_end[bank.index()].max(done);
-        self.events.record(Event {
-            at: done,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Complete {
-                is_write: true,
-                latency: done.since(req.arrival),
-            },
-        });
 
         Completion {
             id: req.id,
@@ -1265,14 +1171,6 @@ impl Controller for BaselineController {
         &mut self.core.rank
     }
 
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.core.events.set_enabled(enabled);
-    }
-
     fn lifetrace(&self) -> &LifecycleTracer {
         &self.core.lifetrace
     }
@@ -1509,68 +1407,62 @@ mod tests {
     }
 
     #[test]
-    fn event_log_captures_read_lifecycle() {
+    fn lifetrace_captures_read_lifecycle() {
         let mut c = ctrl();
-        c.set_trace(true);
+        c.set_lifetrace(true);
         c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
         let done = c.step(Cycle(0))[0].done;
-        let kinds: Vec<&EventKind> = c.events().events().map(|e| &e.kind).collect();
-        assert!(matches!(kinds[0], EventKind::Arrival { is_write: false }));
-        assert!(matches!(kinds[1], EventKind::Issue { is_write: false }));
-        assert!(kinds
+        let t = &c.lifetrace().timelines()[0];
+        assert!(!t.is_write && !t.forwarded);
+        assert!(t.conserves(), "{t:?}");
+        assert_eq!(t.retire, done);
+        assert_eq!(t.latency(), done.since(Cycle(0)).as_u64());
+        // A coarse read draws its eight data chips through data-ready.
+        assert_eq!(t.chip_service.len(), 8);
+        assert!(t
+            .chip_service
             .iter()
-            .any(|k| matches!(k, EventKind::ChipOccupy { .. })));
-        match kinds.last().unwrap() {
-            EventKind::Complete {
-                is_write: false,
-                latency,
-            } => {
-                assert_eq!(*latency, done.since(Cycle(0)));
-            }
-            other => panic!("last event should be Complete, got {other:?}"),
-        }
+            .all(|r| r.role == ChipRole::Data && r.chip.is_data_fixed_layout() && r.end == done));
     }
 
     #[test]
     fn chip_trace_view_reproduces_occupancy() {
         let mut c = ctrl();
-        c.set_trace(true);
+        c.set_lifetrace(true);
         let w = write_req(&c, 1, 0, &[3], Cycle(0));
         c.enqueue_write(w, Cycle(0)).unwrap();
         c.step(Cycle(0));
-        let trace = pcmap_obs::ChipTrace::from_events(c.events());
-        assert!(trace.events().iter().any(|e| e.label.starts_with("Wr-")));
-        // The gantt glyph is the label's last character: '1' for "Wr-1".
+        let trace = pcmap_obs::ChipTrace::from_timelines(c.lifetrace().timelines());
+        let chips: Vec<ChipId> = trace.records().iter().map(|(_, r)| r.chip).collect();
+        assert_eq!(chips, vec![ChipId(3), ChipId::ECC]);
+        // Data glyphs are the request id's last digit: '1' for request 1,
+        // on the written chip and on the ECC chip rewritten alongside.
         let gantt = trace.render_gantt(BankId(0), 8);
-        assert!(
-            gantt
-                .lines()
-                .any(|l| l.starts_with("ch3") && l.contains('1')),
-            "gantt:\n{gantt}"
-        );
+        for row in ["ch3", "ECC"] {
+            assert!(
+                gantt.lines().any(|l| l.starts_with(row) && l.contains('1')),
+                "gantt:\n{gantt}"
+            );
+        }
     }
 
     #[test]
-    fn disabled_event_log_stays_empty() {
+    fn disabled_lifetrace_stays_empty() {
         let mut c = ctrl();
         c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
         c.step(Cycle(0));
-        assert!(c.events().is_empty());
+        assert!(c.lifetrace().timelines().is_empty());
     }
 
     #[test]
-    fn drain_transitions_are_logged() {
+    fn drain_transitions_are_counted() {
         let mut c = ctrl();
-        c.set_trace(true);
         for i in 0..26 {
             let w = write_req(&c, i, i * 4096, &[0], Cycle(0));
             c.enqueue_write(w, Cycle(0)).unwrap();
         }
         c.step(Cycle(0));
-        assert!(c
-            .events()
-            .events()
-            .any(|e| matches!(e.kind, EventKind::DrainStart { backlog } if backlog > 0)));
+        assert!(c.drains_started() > 0);
     }
 
     #[test]

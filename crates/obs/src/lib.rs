@@ -8,12 +8,8 @@
 //! - [`metric`] — a registry with typed counter/gauge/histogram handles,
 //!   near-zero-cost when disabled, and [`MetricsSnapshot`]s that merge
 //!   across the four channels' controllers.
-//! - [`event`] — the request-lifecycle event stream (arrival → queue →
-//!   issue → chip occupancy → RoW reconstruction / deferred verify →
-//!   completion or rollback) behind the [`EventSink`] trait, with the
-//!   bounded [`EventLog`] ring buffer as the default sink.
-//! - [`trace`] — the Figure 5 chip-timeline Gantt view, derived from the
-//!   event stream.
+//! - [`trace`] — the Figure 5 chip-timeline Gantt view, drawn from the
+//!   lifecycle tracer's per-request chip records.
 //! - [`hist`] — the log-bucketed [`LatencyHistogram`] (p50/p95/p99),
 //!   shared by controllers and reports.
 //! - [`series`] — windowed throughput / IRLP time-series.
@@ -22,10 +18,11 @@
 //! - [`tenant`] — dense per-tenant outcome/SLO rows for the serve tier,
 //!   merging commutatively across shards with bounded top-K export
 //!   (DESIGN.md §16).
-//! - [`lifecycle`] — per-request causal timelines: every simulated cycle
-//!   of a traced request attributed to a [`lifecycle::WaitCause`] or
-//!   service phase, with a conservation invariant and a critical-path
-//!   reducer (DESIGN.md §13).
+//! - [`lifecycle`] — the one per-request stream: causal timelines with
+//!   every simulated cycle of a traced request attributed to a
+//!   [`lifecycle::WaitCause`] or service phase, each chip command as a
+//!   role-tagged [`ChipRecord`], a conservation invariant and a
+//!   critical-path reducer (DESIGN.md §13).
 //! - [`json`] / [`csv`] / [`export`] — machine-readable exporters used by
 //!   the bench binaries to write `results/*.json` and `results/*.csv`.
 //!
@@ -34,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod event;
 pub mod export;
 pub mod hist;
 pub mod json;
@@ -45,15 +41,14 @@ pub mod stall;
 pub mod tenant;
 pub mod trace;
 
-pub use event::{Event, EventKind, EventLog, EventSink, NO_REQ};
 pub use hist::LatencyHistogram;
 pub use json::Value;
 pub use lifecycle::{
-    CausalSummary, LifecycleReport, LifecycleTracer, Phase, RecoveryKind, ReqTimeline, Resource,
-    Segment, WaitCause,
+    CausalSummary, ChipRecord, ChipRole, LifecycleReport, LifecycleTracer, Phase, RecoveryKind,
+    ReqTimeline, Resource, Segment, WaitCause,
 };
 pub use metric::{CounterId, GaugeId, GaugeRule, HistogramId, MetricRegistry, MetricsSnapshot};
 pub use series::{Window, WindowedSeries};
 pub use stall::StallBreakdown;
 pub use tenant::{TenantStats, TenantTable};
-pub use trace::{ChipTrace, TraceEvent};
+pub use trace::ChipTrace;

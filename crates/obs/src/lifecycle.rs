@@ -11,8 +11,11 @@
 //! counter surfaced in reports, `ProtocolChecker`-style) and re-checked
 //! from the exported structures by the `pcmap_explain --smoke` CI gate.
 //!
-//! Like [`crate::event::EventLog`], the tracer is disabled by default and
-//! near-free when off (one branch per hook). Completed timelines are kept
+//! The tracer is the controllers' only per-request stream: each chip
+//! command is recorded once, as a [`ChipRecord`] on its request's
+//! timeline, and the Figure 5 Gantt ([`crate::trace::ChipTrace`]) is drawn
+//! from those records. It is disabled by default and near-free when off
+//! (one branch per hook). Completed timelines are kept
 //! up to a capacity; overflow increments [`LifecycleTracer::dropped`]
 //! instead of growing without bound, and the drop counter is surfaced in
 //! `RunReport` JSON so silent truncation cannot masquerade as coverage.
@@ -168,6 +171,50 @@ impl Phase {
     }
 }
 
+/// What a chip command did for its request; the Figure 5 glyph source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChipRole {
+    /// The request's own transfer: the words read or written (a Baseline
+    /// write's ECC word moves with the line, so it is data too).
+    Data,
+    /// PCMap write step 1: the line's ECC chip update.
+    EccUpdate,
+    /// PCMap write step 2: the line's PCC chip update.
+    PccUpdate,
+    /// RoW deferred SECDED verification read.
+    Verify,
+}
+
+/// One chip command issued on behalf of a request: an annotation on its
+/// timeline (records may overlap; they are not part of the partition).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChipRecord {
+    /// Bank holding the chip.
+    pub bank: BankId,
+    /// The chip reserved.
+    pub chip: ChipId,
+    /// What the command did.
+    pub role: ChipRole,
+    /// Reservation start (inclusive).
+    pub start: Cycle,
+    /// Reservation end (exclusive).
+    pub end: Cycle,
+}
+
+impl ChipRecord {
+    /// Gantt glyph: the last digit of `req` for data, else the role's
+    /// initial (`E`, `P`, `V`).
+    #[must_use]
+    pub fn glyph(&self, req: u64) -> char {
+        match self.role {
+            ChipRole::Data => char::from(b'0' + (req % 10) as u8),
+            ChipRole::EccUpdate => 'E',
+            ChipRole::PccUpdate => 'P',
+            ChipRole::Verify => 'V',
+        }
+    }
+}
+
 /// One half-open interval `[start, end)` of a request's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
@@ -206,12 +253,8 @@ pub struct ReqTimeline {
     pub retire: Cycle,
     /// Contiguous segments exactly partitioning `[arrival, retire)`.
     pub segments: Vec<Segment>,
-    /// Per-chip service windows from the reservation commit point
-    /// (annotations — overlapping, not part of the partition).
-    pub chip_service: Vec<(ChipId, Cycle, Cycle)>,
-    /// Deferred-verify window, when the read retired before its SECDED
-    /// check (may end after `retire`; annotation, not partition).
-    pub verify: Option<(Cycle, Cycle)>,
+    /// Every chip command of the request, in issue order.
+    pub chip_service: Vec<ChipRecord>,
 }
 
 impl ReqTimeline {
@@ -219,6 +262,16 @@ impl ReqTimeline {
     #[must_use]
     pub fn latency(&self) -> u64 {
         self.retire.0.saturating_sub(self.arrival.0)
+    }
+
+    /// Deferred-verify window, when the read retired before its SECDED
+    /// check (may end after `retire`).
+    #[must_use]
+    pub fn verify(&self) -> Option<(Cycle, Cycle)> {
+        self.chip_service
+            .iter()
+            .find(|c| c.role == ChipRole::Verify)
+            .map(|c| (c.start, c.end))
     }
 
     /// The conservation invariant: segments are contiguous from `arrival`
@@ -273,17 +326,17 @@ impl ReqTimeline {
             let chips: Vec<Value> = self
                 .chip_service
                 .iter()
-                .map(|&(chip, s, e)| {
+                .map(|r| {
                     let mut c = Value::obj();
-                    c.set("chip", Value::U64(u64::from(chip.0)));
-                    c.set("start", Value::U64(s.0));
-                    c.set("end", Value::U64(e.0));
+                    c.set("chip", Value::U64(u64::from(r.chip.0)));
+                    c.set("start", Value::U64(r.start.0));
+                    c.set("end", Value::U64(r.end.0));
                     c
                 })
                 .collect();
             o.set("chip_service", Value::Arr(chips));
         }
-        if let Some((vs, ve)) = self.verify {
+        if let Some((vs, ve)) = self.verify() {
             let mut v = Value::obj();
             v.set("start", Value::U64(vs.0));
             v.set("end", Value::U64(ve.0));
@@ -304,8 +357,7 @@ struct OpenReq {
     /// blocked attempt; `None` means plain queue wait.
     pending: Option<(WaitCause, Option<Resource>)>,
     segments: Vec<Segment>,
-    chip_service: Vec<(ChipId, Cycle, Cycle)>,
-    verify: Option<(Cycle, Cycle)>,
+    chip_service: Vec<ChipRecord>,
     failed: bool,
 }
 
@@ -449,7 +501,6 @@ impl LifecycleTracer {
                 pending: None,
                 segments: Vec::new(),
                 chip_service: Vec::new(),
-                verify: None,
                 failed: false,
             },
         );
@@ -474,7 +525,6 @@ impl LifecycleTracer {
                 resource: None,
             }],
             chip_service: Vec::new(),
-            verify: None,
         });
     }
 
@@ -524,23 +574,28 @@ impl LifecycleTracer {
         }
     }
 
-    /// Per-chip service window from the reservation commit point.
-    pub fn chip_service(&mut self, req: u64, chip: ChipId, start: Cycle, end: Cycle) {
+    /// One chip command issued for the request: `chip` of `bank`, busy
+    /// in `role` over `[start, end)`.
+    pub fn chip_service(
+        &mut self,
+        req: u64,
+        bank: BankId,
+        chip: ChipId,
+        role: ChipRole,
+        start: Cycle,
+        end: Cycle,
+    ) {
         if !self.enabled {
             return;
         }
         if let Some(open) = self.open.get_mut(&req) {
-            open.chip_service.push((chip, start, end));
-        }
-    }
-
-    /// Deferred-verify window annotation.
-    pub fn verify(&mut self, req: u64, start: Cycle, end: Cycle) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(open) = self.open.get_mut(&req) {
-            open.verify = Some((start, end));
+            open.chip_service.push(ChipRecord {
+                bank,
+                chip,
+                role,
+                start,
+                end,
+            });
         }
     }
 
@@ -574,7 +629,6 @@ impl LifecycleTracer {
             retire,
             segments: open.segments,
             chip_service: open.chip_service,
-            verify: open.verify,
         };
         self.retain(t);
     }

@@ -1,57 +1,33 @@
 //! Chip-occupancy timeline (Gantt) rendering — the Figure 5 view.
 //!
-//! [`ChipTrace`] used to be a bespoke recorder inside `pcmap-ctrl`; it is
-//! now a *view* built from the generic event stream
-//! ([`ChipTrace::from_events`]) — the controllers emit
-//! [`EventKind::ChipOccupy`] events and this module merely renders them.
+//! [`ChipTrace`] is a view over the lifecycle tracer's timelines
+//! ([`ChipTrace::from_timelines`]): every [`ChipRecord`] a controller
+//! attached to a request becomes one bar, and this module merely renders
+//! them.
 
-use crate::event::{EventKind, EventLog};
-use pcmap_types::{BankId, ChipId, Cycle};
+use crate::lifecycle::{ChipRecord, ReqTimeline};
+use pcmap_types::{BankId, ChipId};
 
-/// One chip reservation, labeled for display.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Bank the operation targeted.
-    pub bank: BankId,
-    /// Chip occupied.
-    pub chip: ChipId,
-    /// Occupation interval start.
-    pub start: Cycle,
-    /// Occupation interval end.
-    pub end: Cycle,
-    /// Display label, e.g. `"Wr-A"`, `"Rd-B"`, `"Upd-PCC-A"`.
-    pub label: String,
-}
-
-/// Chip-reservation timeline extracted from an event stream.
+/// Chip-reservation timeline gathered from request timelines.
 #[derive(Debug, Clone, Default)]
 pub struct ChipTrace {
-    events: Vec<TraceEvent>,
+    records: Vec<(u64, ChipRecord)>,
 }
 
 impl ChipTrace {
-    /// Builds the timeline from the `ChipOccupy` events in `log` (other
-    /// event kinds are ignored).
-    pub fn from_events(log: &EventLog) -> Self {
-        let events = log
-            .events()
-            .filter_map(|e| match &e.kind {
-                EventKind::ChipOccupy { chip, end, label } => Some(TraceEvent {
-                    bank: e.bank,
-                    chip: *chip,
-                    start: e.at,
-                    end: *end,
-                    label: label.clone(),
-                }),
-                _ => None,
-            })
+    /// Gathers the chip records of `timelines`, request by request in the
+    /// given (completion) order; a later bar overdraws an earlier one.
+    pub fn from_timelines(timelines: &[ReqTimeline]) -> Self {
+        let records = timelines
+            .iter()
+            .flat_map(|t| t.chip_service.iter().map(move |r| (t.req, *r)))
             .collect();
-        Self { events }
+        Self { records }
     }
 
-    /// All reservations in stream order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// All `(request id, chip record)` pairs in drawing order.
+    pub fn records(&self) -> &[(u64, ChipRecord)] {
+        &self.records
     }
 
     /// Renders an ASCII Gantt chart for `bank`, one row per chip, using
@@ -62,8 +38,12 @@ impl ChipTrace {
     /// Panics if `cycles_per_cell` is zero.
     pub fn render_gantt(&self, bank: BankId, cycles_per_cell: u64) -> String {
         assert!(cycles_per_cell > 0, "cycles_per_cell must be positive");
-        let evs: Vec<&TraceEvent> = self.events.iter().filter(|e| e.bank == bank).collect();
-        let horizon = evs.iter().map(|e| e.end.0).max().unwrap_or(0);
+        let recs: Vec<&(u64, ChipRecord)> = self
+            .records
+            .iter()
+            .filter(|(_, r)| r.bank == bank)
+            .collect();
+        let horizon = recs.iter().map(|(_, r)| r.end.0).max().unwrap_or(0);
         let width = (horizon.div_ceil(cycles_per_cell)) as usize;
         let mut out = String::new();
         for chip in 0..ChipId::TOTAL_CHIPS {
@@ -73,10 +53,10 @@ impl ChipTrace {
                 n => format!("ch{n}  "),
             };
             let mut row = vec!['.'; width];
-            for e in evs.iter().filter(|e| e.chip.index() == chip) {
-                let from = (e.start.0 / cycles_per_cell) as usize;
-                let to = ((e.end.0.div_ceil(cycles_per_cell)) as usize).min(width);
-                let glyph = e.label.chars().last().unwrap_or('#');
+            for (req, r) in recs.iter().filter(|(_, r)| r.chip.index() == chip) {
+                let from = (r.start.0 / cycles_per_cell) as usize;
+                let to = ((r.end.0.div_ceil(cycles_per_cell)) as usize).min(width);
+                let glyph = r.glyph(*req);
                 for cell in row.iter_mut().take(to).skip(from) {
                     *cell = glyph;
                 }
@@ -93,52 +73,64 @@ impl ChipTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventSink};
-    use pcmap_types::Duration;
+    use crate::lifecycle::{ChipRole, LifecycleTracer};
+    use pcmap_types::Cycle;
 
-    fn occupy(log: &mut EventLog, bank: u8, chip: u8, start: u64, end: u64, label: &str) {
-        log.chip_occupy(
-            0,
-            BankId(bank),
-            ChipId(chip),
-            Cycle(start),
-            Cycle(end),
-            || label.to_owned(),
-        );
-    }
-
-    #[test]
-    fn from_events_keeps_only_chip_occupancy() {
-        let mut log = EventLog::enabled();
-        occupy(&mut log, 0, 3, 0, 10, "Wr-A");
-        log.record(Event {
-            at: Cycle(10),
-            req: 0,
-            bank: BankId(0),
-            kind: EventKind::Complete {
-                is_write: true,
-                latency: Duration(10),
-            },
-        });
-        let t = ChipTrace::from_events(&log);
-        assert_eq!(t.events().len(), 1);
-        assert_eq!(t.events()[0].chip, ChipId(3));
+    fn traced() -> LifecycleTracer {
+        let mut t = LifecycleTracer::disabled();
+        t.set_enabled(true);
+        t
     }
 
     #[test]
     fn gantt_renders_rows_for_all_ten_chips() {
-        let mut log = EventLog::enabled();
-        occupy(&mut log, 0, 3, 0, 8, "Wr-A");
-        occupy(&mut log, 0, 8, 0, 8, "Upd-E");
-        let t = ChipTrace::from_events(&log);
-        let g = t.render_gantt(BankId(0), 4);
+        let mut t = traced();
+        t.arrival(7, Cycle(0), true);
+        t.chip_service(7, BankId(0), ChipId(3), ChipRole::Data, Cycle(0), Cycle(8));
+        t.chip_service(
+            7,
+            BankId(0),
+            ChipId(8),
+            ChipRole::EccUpdate,
+            Cycle(0),
+            Cycle(8),
+        );
+        t.complete(7, Cycle(8));
+        let trace = ChipTrace::from_timelines(t.timelines());
+        assert_eq!(trace.records().len(), 2);
+        let g = trace.render_gantt(BankId(0), 4);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 10);
-        assert!(lines[3].contains("AA"));
+        assert!(lines[3].contains("77"));
         assert!(lines[8].starts_with("ECC"));
         assert!(lines[8].contains("EE"));
         // Other bank filtered out.
-        let empty = t.render_gantt(BankId(1), 4);
-        assert!(!empty.contains('A'));
+        let empty = trace.render_gantt(BankId(1), 4);
+        assert!(empty.lines().all(|l| l.ends_with('|')), "{empty}");
+    }
+
+    #[test]
+    fn later_requests_overdraw_and_verify_is_derived() {
+        let mut t = traced();
+        t.arrival(1, Cycle(0), false);
+        t.arrival(12, Cycle(0), false);
+        t.chip_service(1, BankId(0), ChipId(0), ChipRole::Data, Cycle(0), Cycle(8));
+        t.chip_service(
+            1,
+            BankId(0),
+            ChipId(8),
+            ChipRole::Verify,
+            Cycle(8),
+            Cycle(16),
+        );
+        t.complete(1, Cycle(8));
+        t.chip_service(12, BankId(0), ChipId(0), ChipRole::Data, Cycle(4), Cycle(8));
+        t.complete(12, Cycle(8));
+        assert_eq!(t.timelines()[0].verify(), Some((Cycle(8), Cycle(16))));
+        assert_eq!(t.timelines()[1].verify(), None);
+        let g = ChipTrace::from_timelines(t.timelines()).render_gantt(BankId(0), 4);
+        let lines: Vec<&str> = g.lines().collect();
+        assert_eq!(lines[0], "ch0  |12..");
+        assert_eq!(lines[8], "ECC |..VV");
     }
 }

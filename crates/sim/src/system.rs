@@ -6,14 +6,14 @@ use pcmap_core::{build_controller, RollbackMode, SystemKind};
 use pcmap_cpu::core_model::{cpu_to_mem, mem_to_cpu, CoreAction, CoreModel};
 use pcmap_cpu::{RollbackModel, WorkOp};
 use pcmap_ctrl::stats::SERIES_WINDOW;
-use pcmap_ctrl::{Completion, Controller, LatencyHistogram, MemRequest, ReqId, ReqKind};
+use pcmap_ctrl::{Completion, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_faults::FaultPlan;
 use pcmap_obs::{
-    CounterId, Event, EventKind, EventLog, EventSink, LifecycleReport, MetricRegistry,
-    MetricsSnapshot, StallBreakdown, Value, WindowedSeries, NO_REQ,
+    CounterId, LatencyHistogram, LifecycleReport, MetricRegistry, MetricsSnapshot, StallBreakdown,
+    Value, WindowedSeries,
 };
 use pcmap_types::{
-    BankId, CoreId, CpuParams, Cycle, FaultConfig, MemOrg, QueueParams, ServeSummary, TimingParams,
+    CoreId, CpuParams, Cycle, FaultConfig, MemOrg, QueueParams, ServeSummary, TimingParams,
     Xoshiro256,
 };
 use pcmap_workloads::{CoreStream, StreamOp, Workload};
@@ -165,9 +165,6 @@ pub struct RunReport {
     /// Protocol-invariant violations observed (always 0 on a healthy run;
     /// strict mode panics at the violation site instead of counting).
     pub invariant_violations: u64,
-    /// Events dropped by the bounded event logs (system log plus every
-    /// channel's); nonzero means trace-derived views are incomplete.
-    pub events_dropped: u64,
     /// Request timelines dropped by the lifecycle tracers' capacity caps
     /// (always 0 when lifecycle tracing is off).
     pub lifetrace_dropped: u64,
@@ -314,9 +311,8 @@ impl RunReport {
             "invariant_violations",
             Value::U64(self.invariant_violations),
         );
-        // Always present (0 when the logs/tracers are off or never filled),
-        // so enabling tracing cannot perturb the report's byte layout.
-        v.set("events_dropped", Value::U64(self.events_dropped));
+        // Always present (0 when the tracers are off or never filled), so
+        // enabling tracing cannot perturb the report's byte layout.
         v.set("lifetrace_dropped", Value::U64(self.lifetrace_dropped));
         let mut faults = Value::obj();
         faults.set("injected", Value::U64(self.faults_injected));
@@ -435,9 +431,6 @@ pub struct System {
     m_retries: CounterId,
     m_rollbacks: CounterId,
     m_failed: CounterId,
-    /// System-level lifecycle events (rollbacks; controller-agnostic, so
-    /// `bank`/`req` carry placeholder values). Off unless tracing is on.
-    events: EventLog,
     /// Optional serve-tier admission gate on the issue path
     /// (DESIGN.md §16). `None` leaves ingestion exactly as before.
     gate: Option<Box<dyn IngressGate>>,
@@ -528,7 +521,6 @@ impl System {
             m_retries,
             m_rollbacks,
             m_failed,
-            events: EventLog::disabled(),
             gate: None,
         }
     }
@@ -542,29 +534,15 @@ impl System {
         self.gate = Some(gate);
     }
 
-    /// Enables lifecycle event recording on every channel and on the
-    /// system-level log (for timeline rendering; keep runs short).
-    pub fn enable_tracing(&mut self) {
-        for c in &mut self.ctrls {
-            c.set_trace(true);
-        }
-        self.events.set_enabled(true);
-    }
-
     /// Enables per-request causal lifecycle tracing on every channel
-    /// (DESIGN.md §13). Independent of [`Self::enable_tracing`]: the
-    /// tracer attributes every simulated cycle of every request to a wait
-    /// cause or service phase, and the resulting [`LifecycleReport`] rides
-    /// on [`RunReport::lifecycle`] without touching the JSON report.
+    /// (DESIGN.md §13): the tracer attributes every simulated cycle of
+    /// every request to a wait cause or service phase, and the resulting
+    /// [`LifecycleReport`] rides on [`RunReport::lifecycle`] without
+    /// touching the JSON report.
     pub fn enable_lifecycle_tracing(&mut self) {
         for c in &mut self.ctrls {
             c.set_lifetrace(true);
         }
-    }
-
-    /// The system-level event log (rollback events).
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// Access to the per-channel controllers (inspection, fault injection).
@@ -710,12 +688,6 @@ impl System {
             self.cores[d.core].rollback(cpu_at, penalty);
             self.ctrls[d.chan].note_rollback(at, d.via_row, d.verify_done.is_some());
             self.registry.add(self.m_rollbacks, 1);
-            self.events.record(Event {
-                at,
-                req: NO_REQ,
-                bank: BankId(0),
-                kind: EventKind::Rollback,
-            });
             return;
         }
         if d.via_row {
@@ -725,12 +697,6 @@ impl System {
                     self.cores[d.core].rollback(cpu_at, penalty);
                     self.ctrls[d.chan].note_rollback(at, d.via_row, d.verify_done.is_some());
                     self.registry.add(self.m_rollbacks, 1);
-                    self.events.record(Event {
-                        at,
-                        req: NO_REQ,
-                        bank: BankId(0),
-                        kind: EventKind::Rollback,
-                    });
                 }
             }
         }
@@ -1005,8 +971,6 @@ impl System {
         for c in &self.cores {
             cores.merge(&c.stats().snapshot());
         }
-        let events_dropped =
-            self.events.dropped() + self.ctrls.iter().map(|c| c.events().dropped()).sum::<u64>();
         let lifetrace_dropped: u64 = self.ctrls.iter().map(|c| c.lifetrace().dropped()).sum();
         let lifecycle = if self.ctrls.iter().any(|c| c.lifetrace().enabled()) {
             Some(LifecycleReport::gather(
@@ -1096,7 +1060,6 @@ impl System {
             wear_imbalance: wear_imb,
             invariants_checked: merged.counter("invariants_checked"),
             invariant_violations: merged.counter("invariant_violations"),
-            events_dropped,
             lifetrace_dropped,
             lifecycle,
             serve: self.gate.as_ref().map(|g| g.summary()),
@@ -1169,24 +1132,6 @@ mod tests {
             r.irlp_mean,
             r.mean_essential_words
         );
-    }
-
-    #[test]
-    fn telemetry_does_not_change_simulation() {
-        let wl = catalog::by_name("streamcluster").unwrap();
-        let cfg = SimConfig::paper_default(SystemKind::RwowRde).with_requests(600);
-        let off = System::new(cfg.clone(), wl.clone()).run();
-        let mut traced = System::new(cfg, wl);
-        traced.enable_tracing();
-        let on = traced.run();
-        assert_eq!(off.mem_cycles, on.mem_cycles);
-        assert_eq!(off.instructions, on.instructions);
-        assert_eq!(off.cpu_cycles, on.cpu_cycles);
-        assert_eq!(off.reads_completed, on.reads_completed);
-        assert_eq!(off.writes_completed, on.writes_completed);
-        assert_eq!(off.essential_histogram, on.essential_histogram);
-        assert_eq!(off.reads_via_row, on.reads_via_row);
-        assert_eq!(off.rollbacks, on.rollbacks);
     }
 
     #[test]

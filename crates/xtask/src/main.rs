@@ -260,8 +260,10 @@ fn serve_soak() -> Result<(), String> {
 /// small scenario end to end with `pcmap_explain --smoke`, which asserts
 /// that every traced request's interval timeline partitions
 /// `[arrival, retire)` exactly and that the tracer's totals reconcile
-/// with the run's own counters. The explain report (RunReport + causal
-/// timelines) lands in `results/explain.json`.
+/// with the run's own counters. `--diff baseline` runs the gate on the
+/// Baseline controller too, over the same request stream. The explain
+/// report (RunReport + causal timelines of the first system) lands in
+/// `results/explain.json`.
 fn explain() -> Result<(), String> {
     step(
         "explain",
@@ -281,6 +283,8 @@ fn explain() -> Result<(), String> {
             "1200",
             "--top",
             "3",
+            "--diff",
+            "baseline",
         ],
     )
 }

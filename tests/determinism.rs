@@ -2,11 +2,13 @@
 //!
 //! A sweep renders byte-identical RunReport JSON at any worker count, the
 //! protocol checker stays green, a fault storm is recovered visibly, and
-//! every issued request completes. The point set is small enough to run in seconds in a debug
-//! build.
+//! every issued request completes. With the lifecycle tracer on, the
+//! report stays byte-identical and every request's timeline conserves and
+//! reconciles with the controllers' counters. The point set is small
+//! enough to run in seconds in a debug build.
 
 use pcmap::core::{RollbackMode, SystemKind};
-use pcmap::sim::{RunReport, SimConfig, SweepPoint, SweepRunner};
+use pcmap::sim::{RunReport, SimConfig, SweepPoint, SweepRunner, System};
 use pcmap::types::FaultConfig;
 use pcmap::workloads::catalog;
 
@@ -78,4 +80,31 @@ fn runs_are_checked_recovered_and_conserved() {
     assert!(storm.faults_injected > 0, "the storm point injects faults");
     assert_eq!(storm.silent_corruptions, 0);
     assert!(reports[3].rollbacks > 0, "the rollback point rolls back");
+}
+
+#[test]
+fn traced_runs_are_identical_conserved_and_reconciled() {
+    let untraced = SweepRunner::new(1).run_points(points());
+    let traced = SweepRunner::new(1).map(points(), |p| {
+        let mut sys = System::new(p.cfg, p.workload);
+        sys.enable_lifecycle_tracing();
+        sys.run()
+    });
+    for (off, on) in untraced.iter().zip(&traced) {
+        let label = format!("{:?}", on.kind);
+        assert_eq!(json(off), json(on), "{label}: tracing changed the report");
+        assert_eq!(on.lifetrace_dropped, 0, "{label}");
+        let lc = on.lifecycle.as_ref().expect("tracing was on");
+        assert_eq!(lc.merged.violations, 0, "{label}");
+        for (ch, t) in &lc.timelines {
+            assert!(t.conserves(), "{label}: req {} on ch{ch}: {t:?}", t.req);
+        }
+        let merged = on.merged_channels();
+        assert_eq!(lc.merged.reads, merged.counter("reads_done"), "{label}");
+        assert_eq!(
+            lc.merged.read_latency_cycles,
+            merged.counter("read_latency_sum"),
+            "{label}"
+        );
+    }
 }
