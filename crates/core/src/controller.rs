@@ -38,7 +38,7 @@ use pcmap_ctrl::BusDir;
 use pcmap_device::PcmRank;
 use pcmap_obs::{ChipRole, LifecycleTracer, RecoveryKind, Resource, WaitCause};
 use pcmap_types::{
-    BankId, ChipId, ChipSet, Cycle, Duration, LineAddr, MemOrg, QueueParams, TimingParams, WordMask,
+    BankId, ChipId, ChipSet, Cycle, Duration, MemOrg, QueueParams, TimingParams, WordMask,
 };
 
 /// A write currently occupying chips on a bank (its data phase).
@@ -52,9 +52,22 @@ struct InflightWrite {
     req: u64,
 }
 
-/// Where a queued write sits, keyed by age: `(arrival, id, bank index,
-/// position in that bank's queue)`.
-type WriteKey = (Cycle, ReqId, usize, usize);
+/// A queued write in the controller's arrival index.
+#[derive(Debug, Clone, Copy)]
+struct QueuedWrite {
+    req: MemRequest,
+    /// An older write to the same line is still queued. Same-address
+    /// write order must be preserved, so this write is not a candidate
+    /// until that one has issued.
+    shadowed: bool,
+    /// Store generation of the write's bank at which `mask` and `chips`
+    /// were computed; `None` before the first evaluation.
+    memo_gen: Option<u64>,
+    /// The write's essential words against the stored line.
+    mask: WordMask,
+    /// The data chips holding `mask`.
+    chips: ChipSet,
+}
 
 /// The PCMap controller for one channel.
 ///
@@ -81,11 +94,13 @@ pub struct PcmapController {
     /// Writes currently being issued word-by-word under the split mode.
     // pcmap-lint: allow(missed-wake, reason = "a split write stays resident in its write queue until every partial issues, and compute_wake reads queue occupancy; this list only de-duplicates the split bookkeeping")
     split_in_progress: Vec<ReqId>,
-    /// Scratch for [`Self::try_issue_write`]: the visit order of the
-    /// queued writes.
-    write_order: Vec<WriteKey>,
-    /// Scratch for [`Self::try_issue_write`]: lines with a skipped write.
-    skipped_lines: Vec<LineAddr>,
+    /// Every queued write, oldest first by `(arrival, id)`: the order in
+    /// which [`Self::try_issue_write`] considers them (§IV-D2 rule 2).
+    writes: Vec<QueuedWrite>,
+    /// Test-only: schedule writes with the reference full scan instead
+    /// of the index, so the two can be compared step by step.
+    #[cfg(test)]
+    reference_write_scan: bool,
 }
 
 impl PcmapController {
@@ -110,8 +125,9 @@ impl PcmapController {
             overlap_reads_in_normal: true,
             split_writes_for_row: false,
             split_in_progress: Vec::new(),
-            write_order: Vec::new(),
-            skipped_lines: Vec::new(),
+            writes: Vec::new(),
+            #[cfg(test)]
+            reference_write_scan: false,
         }
     }
 
@@ -189,264 +205,293 @@ impl PcmapController {
         }
     }
 
-    /// Attempts to issue one write (fine-grained, all phases committed).
-    /// Returns `true` on issue.
+    /// Adds a newly queued write to the arrival index, keeping
+    /// `shadowed` exact for every write to its line.
+    fn index_write(&mut self, req: MemRequest) {
+        let key = (req.arrival, req.id);
+        let pos = self
+            .writes
+            .partition_point(|w| (w.req.arrival, w.req.id) < key);
+        let shadowed = self.writes[..pos].iter().any(|w| w.req.line == req.line);
+        for w in &mut self.writes[pos..] {
+            if w.req.line == req.line {
+                w.shadowed = true;
+            }
+        }
+        self.writes.insert(
+            pos,
+            QueuedWrite {
+                req,
+                shadowed,
+                memo_gen: None,
+                mask: WordMask::empty(),
+                chips: ChipSet::empty(),
+            },
+        );
+    }
+
+    /// Takes a finished write out of its bank queue and the arrival index.
+    fn dequeue_write(&mut self, req: &MemRequest) {
+        self.core.write_qs[req.loc.bank.index()]
+            .remove(req.id)
+            .expect("write still queued");
+        let pos = self
+            .writes
+            .binary_search_by_key(&(req.arrival, req.id), |w| (w.req.arrival, w.req.id))
+            .expect("queued write is indexed");
+        let gone = self.writes.remove(pos);
+        // The next-oldest write to the line is shadowed exactly when the
+        // removed one was: no other write to the line lies between them.
+        if let Some(next) = self.writes[pos..]
+            .iter_mut()
+            .find(|w| w.req.line == gone.req.line)
+        {
+            next.shadowed = gone.shadowed;
+        }
+    }
+
+    /// The essential words of indexed write `i` against the stored line,
+    /// and the data chips holding them. Memoised per write: the result
+    /// stays valid while the bank's store generation is unchanged.
+    fn essential_of(&mut self, i: usize) -> (WordMask, ChipSet) {
+        let w = self.writes[i];
+        let (bank, row, col) = (w.req.loc.bank, w.req.loc.row, w.req.loc.col);
+        let generation = self.core.rank.storage().generation(bank);
+        if w.memo_gen == Some(generation) {
+            return (w.mask, w.chips);
+        }
+        let ReqKind::Write { data } = w.req.kind else {
+            unreachable!("the write queues hold only writes")
+        };
+        let mask = self.core.rank.read_data(bank, row, col).diff_words(&data);
+        let chips = self.layout.chips_of_mask(w.req.line, mask);
+        let e = &mut self.writes[i];
+        (e.memo_gen, e.mask, e.chips) = (Some(generation), mask, chips);
+        (mask, chips)
+    }
+
+    /// Attempts to issue one write (fine-grained, all phases committed):
+    /// the oldest queued write whose chips are free. Returns `true` on
+    /// issue.
     fn try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
+        #[cfg(test)]
+        if self.reference_write_scan {
+            return self.reference_try_issue_write(now, out);
+        }
         let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
         pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         let degraded = self.rank_degraded(now);
-        // The scratch buffers are taken and put back so their capacity
-        // is reused: once warm, a call allocates nothing.
-        let mut order = std::mem::take(&mut self.write_order);
-        let mut skipped_lines = std::mem::take(&mut self.skipped_lines);
-        order.clear();
-        for (bank, q) in self.core.write_qs.iter().enumerate() {
-            order.extend(
-                q.iter()
-                    .enumerate()
-                    .map(|(pos, r)| (r.arrival, r.id, bank, pos)),
-            );
-        }
-        // Oldest first by (arrival, id); bank and queue position break
-        // ties in gathering order, as a stable sort of the requests would.
-        order.sort_unstable();
-        skipped_lines.clear();
-        let issued = self.issue_oldest_write(now, degraded, &order, &mut skipped_lines, out);
-        self.write_order = order;
-        self.skipped_lines = skipped_lines;
-        issued
-    }
-
-    /// Visits the queued writes in `order` and issues the first one whose
-    /// chips are free. Returns `true` on issue.
-    fn issue_oldest_write(
-        &mut self,
-        now: Cycle,
-        degraded: bool,
-        order: &[WriteKey],
-        skipped_lines: &mut Vec<LineAddr>,
-        out: &mut Vec<Completion>,
-    ) -> bool {
-        for &(_, _, q, pos) in order {
-            let req = *self.core.write_qs[q].get(pos).expect("queued write");
-            // Same-address write order must be preserved: once an older
-            // write to a line is skipped, newer writes to that line may
-            // not jump it.
-            if skipped_lines.contains(&req.line) {
-                continue;
-            }
-            pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
-            let id = req.id;
-            let bank = req.loc.bank;
-            // Writes issue while the bus is in write mode (any drain
-            // active) or opportunistically after a read-idle window.
-            if !self.core.any_draining() && !self.core.read_idle(now) {
-                if self.core.lifetrace.enabled() {
+        // Writes issue while the bus is in write mode (any drain active)
+        // or opportunistically after a read-idle window. Otherwise read
+        // priority holds back every write; the tracer charges the wait
+        // to each line's oldest write.
+        if !self.core.any_draining() && !self.core.read_idle(now) {
+            if self.core.lifetrace.enabled() {
+                for w in self.writes.iter().filter(|w| !w.shadowed) {
                     self.core.lifetrace.blocked(
-                        id.0,
+                        w.req.id.0,
                         now,
                         WaitCause::ReadPriority,
-                        Some(Resource::bank(bank)),
+                        Some(Resource::bank(w.req.loc.bank)),
                     );
                 }
-                skipped_lines.push(req.line);
-                continue;
             }
-            let overlapping = self.has_inflight(bank, now);
-            // A degraded rank loses WoW speculation: overlapped writes
-            // wait for the in-flight write like the baseline would.
-            if overlapping && (!self.kind.wow_enabled() || degraded) {
-                // Event horizon: the candidate stays blocked until every
-                // in-flight data phase on this bank has ended.
-                if let Some(t) = self
-                    .inflight
-                    .iter()
-                    .filter(|w| w.bank == bank && w.data_end > now)
-                    .map(|w| w.data_end)
-                    .max()
-                {
-                    self.core.note_hint(t);
-                }
-                if self.core.lifetrace.enabled() {
-                    let cause = if degraded && self.kind.wow_enabled() {
-                        WaitCause::RankDemoted
-                    } else {
-                        WaitCause::WriteInFlight
-                    };
-                    let mut r = Resource::bank(bank);
-                    if let Some(blocker) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(blocker);
-                    }
-                    self.core.lifetrace.blocked(id.0, now, cause, Some(r));
-                }
-                skipped_lines.push(req.line);
-                continue;
-            }
-            let polls = if overlapping { self.poll_count() } else { 1 };
-            let start = if overlapping {
-                now + Duration(self.status_poll.0 * polls)
-            } else {
-                now
-            };
-            let ReqKind::Write { data } = req.kind else {
-                continue;
-            };
-
-            // Peek the essential set without mutating storage.
-            let stored = self.core.rank.read_data(bank, req.loc.row, req.loc.col);
-            let mask = stored.diff_words(&data);
-
-            if mask.is_empty() {
-                // Silent store — or the tail of a split write whose words
-                // have all landed.
-                self.core
-                    .checker
-                    .status_poll_n(bank, now, start, overlapping, polls);
-                self.core.write_qs[bank.index()]
-                    .remove(id)
-                    .expect("still queued");
-                self.core
-                    .rank
-                    .write_words(bank, req.loc.row, req.loc.col, data, mask);
-                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
-                    self.split_in_progress.swap_remove(pos);
-                } else {
-                    self.core.stats.essential_histogram[0] += 1;
-                    self.core.stats.silent_writes += 1;
-                }
-                let done = start + Duration(self.core.t.array_read);
-                self.core.stats.irlp.open_window(bank, start, done);
-                self.core.lifetrace.issue(id.0, now, start, done);
-                self.complete_write(&req, bank, done, out);
+            return false;
+        }
+        for i in 0..self.writes.len() {
+            if !self.writes[i].shadowed && self.try_write_candidate(i, now, degraded, out) {
                 return true;
             }
+        }
+        false
+    }
 
-            // §IV-B4 split mode: with reads waiting, issue one essential
-            // word at a time so the bank stays RoW-compatible.
-            let full_count = mask.count();
-            let mut mask = mask;
-            let splitting = self.split_writes_for_row
-                && self.kind.row_enabled()
-                && (full_count > 1 || self.split_in_progress.contains(&id))
-                && !self.core.read_q.is_empty();
-            if splitting {
-                mask = WordMask::single(mask.first().expect("non-empty"));
-            }
-
-            // Plan the three phases.
-            let program_start = start + Duration(self.core.t.t_wl + self.core.t.burst);
-            let upd = op::check_chip_write_occupancy(&self.core.t);
-            let worst_end = program_start + Duration(self.core.t.array_set);
-
-            // Availability: data chips and ECC chip over step 1, PCC chip
-            // right after the data phase (step 2). Per-word SET/RESET
-            // variation is bounded by the worst case.
-            let timing = self.core.rank.timing();
-            let data_chips = self.layout.chips_of_mask(req.line, mask);
-            if !timing.set_free_during(bank, data_chips, start, worst_end) {
-                self.core.stats.wr_blocked_data += 1;
-                // Event horizon: the window [start, worst_end) shifts
-                // rigidly with `now`, so the conflict clears once `start`
-                // reaches the last conflicting reservation end.
-                if let Some(e) = timing.blocked_until(bank, data_chips, start, worst_end) {
-                    self.core.retry_hint = Some(match self.core.retry_hint {
-                        Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                        None => Cycle(e.0 - (start.0 - now.0)),
-                    });
-                }
-                if self.core.lifetrace.enabled() {
-                    // Diagnose the first busy chip of the conflicting set.
-                    let busy = data_chips
-                        .chips()
-                        .find(|&c| !timing.chip(bank, c).is_free_during(start, worst_end));
-                    let mut r = match busy {
-                        Some(c) => Resource::chip(bank, c),
-                        None => Resource::bank(bank),
-                    };
-                    if let Some(b) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(b);
-                    }
-                    self.core
-                        .lifetrace
-                        .blocked(id.0, now, WaitCause::WowSetConflict, Some(r));
-                }
-                skipped_lines.push(req.line);
-                continue;
-            }
-            let ecc_chip = self.layout.ecc_chip(req.line);
-            let ecc_end = start + upd;
-            if !timing.chip(bank, ecc_chip).is_free_during(start, ecc_end) {
-                self.core.stats.wr_blocked_ecc += 1;
-                // Event horizon: ECC update window shifts rigidly with now.
-                if let Some(e) = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end) {
-                    self.core.retry_hint = Some(match self.core.retry_hint {
-                        Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                        None => Cycle(e.0 - (start.0 - now.0)),
-                    });
-                }
-                if self.core.lifetrace.enabled() {
-                    let mut r = Resource::chip(bank, ecc_chip);
-                    if let Some(b) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(b);
-                    }
-                    self.core
-                        .lifetrace
-                        .blocked(id.0, now, WaitCause::EccBusy, Some(r));
-                }
-                skipped_lines.push(req.line);
-                continue;
-            }
-            let pcc_chip = self.layout.pcc_chip(req.line);
-            if !timing
-                .chip(bank, pcc_chip)
-                .is_free_during(worst_end, worst_end + upd)
+    /// Issues indexed write `i` if its chips are free; otherwise counts
+    /// and traces the conflict and notes when it clears. Returns `true`
+    /// on issue.
+    fn try_write_candidate(
+        &mut self,
+        i: usize,
+        now: Cycle,
+        degraded: bool,
+        out: &mut Vec<Completion>,
+    ) -> bool {
+        pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
+        let req = self.writes[i].req;
+        let id = req.id;
+        let bank = req.loc.bank;
+        let overlapping = self.has_inflight(bank, now);
+        // A degraded rank loses WoW speculation: overlapped writes
+        // wait for the in-flight write like the baseline would.
+        if overlapping && (!self.kind.wow_enabled() || degraded) {
+            // Event horizon: the candidate stays blocked until every
+            // in-flight data phase on this bank has ended.
+            if let Some(t) = self
+                .inflight
+                .iter()
+                .filter(|w| w.bank == bank && w.data_end > now)
+                .map(|w| w.data_end)
+                .max()
             {
-                self.core.stats.wr_blocked_pcc += 1;
-                // Event horizon: PCC window [worst_end, worst_end + upd)
-                // also shifts rigidly with now.
-                if let Some(e) = timing
-                    .chip(bank, pcc_chip)
-                    .blocked_until(worst_end, worst_end + upd)
-                {
-                    self.core.retry_hint = Some(match self.core.retry_hint {
-                        Some(h) => h.min(Cycle(e.0 - (worst_end.0 - now.0))),
-                        None => Cycle(e.0 - (worst_end.0 - now.0)),
-                    });
-                }
-                if self.core.lifetrace.enabled() {
-                    let mut r = Resource::chip(bank, pcc_chip);
-                    if let Some(b) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(b);
-                    }
-                    self.core
-                        .lifetrace
-                        .blocked(id.0, now, WaitCause::PccBusy, Some(r));
-                }
-                skipped_lines.push(req.line);
-                continue;
+                self.core.note_hint(t);
             }
+            if self.core.lifetrace.enabled() {
+                let cause = if degraded && self.kind.wow_enabled() {
+                    WaitCause::RankDemoted
+                } else {
+                    WaitCause::WriteInFlight
+                };
+                let mut r = Resource::bank(bank);
+                if let Some(blocker) = self.inflight_blocker(bank, now) {
+                    r = r.blocked_by(blocker);
+                }
+                self.core.lifetrace.blocked(id.0, now, cause, Some(r));
+            }
+            return false;
+        }
+        let polls = if overlapping { self.poll_count() } else { 1 };
+        let start = if overlapping {
+            now + Duration(self.status_poll.0 * polls)
+        } else {
+            now
+        };
+        let (mask, full_chips) = self.essential_of(i);
 
+        if mask.is_empty() {
+            // Silent store — or the tail of a split write whose words
+            // have all landed.
+            let ReqKind::Write { data } = req.kind else {
+                unreachable!("the write queues hold only writes")
+            };
             self.core
                 .checker
                 .status_poll_n(bank, now, start, overlapping, polls);
-            if overlapping {
-                self.core
-                    .checker
-                    .speculative_on_degraded(bank, start, degraded, "WoW write");
+            self.dequeue_write(&req);
+            self.core
+                .rank
+                .write_words(bank, req.loc.row, req.loc.col, data, mask);
+            if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
+                self.split_in_progress.swap_remove(pos);
+            } else {
+                self.core.stats.essential_histogram[0] += 1;
+                self.core.stats.silent_writes += 1;
             }
-            self.issue_fine_write(
-                req,
-                now,
-                mask,
-                start,
-                program_start,
-                overlapping,
-                splitting.then_some(full_count),
-                out,
-            );
+            let done = start + Duration(self.core.t.array_read);
+            self.core.stats.irlp.open_window(bank, start, done);
+            self.core.lifetrace.issue(id.0, now, start, done);
+            self.complete_write(&req, bank, done, out);
             return true;
         }
-        false
+
+        // §IV-B4 split mode: with reads waiting, issue one essential
+        // word at a time so the bank stays RoW-compatible.
+        let full_count = mask.count();
+        let splitting = self.split_writes_for_row
+            && self.kind.row_enabled()
+            && (full_count > 1 || self.split_in_progress.contains(&id))
+            && !self.core.read_q.is_empty();
+        let (mask, data_chips) = if splitting {
+            let single = WordMask::single(mask.first().expect("non-empty"));
+            (single, self.layout.chips_of_mask(req.line, single))
+        } else {
+            (mask, full_chips)
+        };
+
+        // Plan the three phases.
+        let program_start = start + Duration(self.core.t.t_wl + self.core.t.burst);
+        let upd = op::check_chip_write_occupancy(&self.core.t);
+        let worst_end = program_start + Duration(self.core.t.array_set);
+
+        // Availability: data chips and ECC chip over step 1, PCC chip
+        // right after the data phase (step 2). Per-word SET/RESET
+        // variation is bounded by the worst case. Each window is tested
+        // and hinted by one scan: `blocked_until` is `None` exactly when
+        // the window is free.
+        let timing = self.core.rank.timing();
+        if let Some(e) = timing.blocked_until(bank, data_chips, start, worst_end) {
+            self.core.stats.wr_blocked_data += 1;
+            // Event horizon: the window [start, worst_end) shifts
+            // rigidly with `now`, so the conflict clears once `start`
+            // reaches the last conflicting reservation end.
+            self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
+            if self.core.lifetrace.enabled() {
+                // Diagnose the first busy chip of the conflicting set.
+                let timing = self.core.rank.timing();
+                let busy = data_chips
+                    .chips()
+                    .find(|&c| !timing.chip(bank, c).is_free_during(start, worst_end));
+                let mut r = match busy {
+                    Some(c) => Resource::chip(bank, c),
+                    None => Resource::bank(bank),
+                };
+                if let Some(b) = self.inflight_blocker(bank, now) {
+                    r = r.blocked_by(b);
+                }
+                self.core
+                    .lifetrace
+                    .blocked(id.0, now, WaitCause::WowSetConflict, Some(r));
+            }
+            return false;
+        }
+        let ecc_chip = self.layout.ecc_chip(req.line);
+        if let Some(e) = timing
+            .chip(bank, ecc_chip)
+            .blocked_until(start, start + upd)
+        {
+            self.core.stats.wr_blocked_ecc += 1;
+            // Event horizon: ECC update window shifts rigidly with now.
+            self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
+            if self.core.lifetrace.enabled() {
+                let mut r = Resource::chip(bank, ecc_chip);
+                if let Some(b) = self.inflight_blocker(bank, now) {
+                    r = r.blocked_by(b);
+                }
+                self.core
+                    .lifetrace
+                    .blocked(id.0, now, WaitCause::EccBusy, Some(r));
+            }
+            return false;
+        }
+        let pcc_chip = self.layout.pcc_chip(req.line);
+        if let Some(e) = timing
+            .chip(bank, pcc_chip)
+            .blocked_until(worst_end, worst_end + upd)
+        {
+            self.core.stats.wr_blocked_pcc += 1;
+            // Event horizon: PCC window [worst_end, worst_end + upd)
+            // also shifts rigidly with now.
+            self.core.note_hint(Cycle(e.0 - (worst_end.0 - now.0)));
+            if self.core.lifetrace.enabled() {
+                let mut r = Resource::chip(bank, pcc_chip);
+                if let Some(b) = self.inflight_blocker(bank, now) {
+                    r = r.blocked_by(b);
+                }
+                self.core
+                    .lifetrace
+                    .blocked(id.0, now, WaitCause::PccBusy, Some(r));
+            }
+            return false;
+        }
+
+        self.core
+            .checker
+            .status_poll_n(bank, now, start, overlapping, polls);
+        if overlapping {
+            self.core
+                .checker
+                .speculative_on_degraded(bank, start, degraded, "WoW write");
+        }
+        self.issue_fine_write(
+            req,
+            now,
+            mask,
+            start,
+            program_start,
+            overlapping,
+            splitting.then_some(full_count),
+            out,
+        );
+        true
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -468,9 +513,7 @@ impl PcmapController {
         let bank = req.loc.bank;
         let partial = split_of.is_some();
         if !partial {
-            self.core.write_qs[bank.index()]
-                .remove(req.id)
-                .expect("write still queued");
+            self.dequeue_write(&req);
         }
 
         let outcome = self
@@ -648,22 +691,18 @@ impl PcmapController {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
         pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         let degraded = self.rank_degraded(now);
-        let ids: Vec<ReqId> = self.core.read_q.iter().map(|r| r.id).collect();
-        for id in ids {
+        // Neither the read queue nor the drain states change until a read
+        // issues, which ends the call.
+        let bus_write_mode = self.core.any_draining();
+        // Plain reads need the bus in read mode; overlap (RoW) reads
+        // ride the sub-ranked lanes and work either way — during
+        // drains they are the only way a read gets served (rule 1).
+        let plain_ok = plain_allowed && !bus_write_mode;
+        for pos in 0..self.core.read_q.len() {
             pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
-            let req = *self
-                .core
-                .read_q
-                .iter()
-                .find(|r| r.id == id)
-                .expect("still queued");
+            let req = *self.core.read_q.get(pos).expect("still queued");
             let bank = req.loc.bank;
-            let bus_write_mode = self.core.any_draining();
             let overlapping = self.has_inflight(bank, now);
-            // Plain reads need the bus in read mode; overlap (RoW) reads
-            // ride the sub-ranked lanes and work either way — during
-            // drains they are the only way a read gets served (rule 1).
-            let plain_ok = plain_allowed && !bus_write_mode;
             let overlap_ok = (bus_write_mode || overlap_everywhere) && overlapping;
             if !plain_ok && !overlap_ok {
                 if bus_write_mode && self.core.lifetrace.enabled() {
@@ -707,20 +746,24 @@ impl PcmapController {
                 .next_slot(BusDir::Read, start + to_transfer, &self.core.t);
             let data_ready = transfer + Duration(self.core.t.burst);
 
+            // One scan per chip: `blocked_until` is `None` exactly when
+            // the chip is free over the read window, and otherwise the
+            // cycle its conflict clears.
             let timing = self.core.rank.timing();
-            let busy_words: Vec<ChipId> = word_chips
-                .chips()
-                .filter(|&c| !timing.chip(bank, c).is_free_during(start, data_ready))
-                .collect();
-            let ecc_free = timing
-                .chip(bank, ecc_chip)
-                .is_free_during(start, data_ready);
-            let pcc_free = timing
-                .chip(bank, pcc_chip)
-                .is_free_during(start, data_ready);
+            let mut busy_words = ChipSet::empty();
+            let mut words_clear: Option<Cycle> = None;
+            for c in word_chips.chips() {
+                if let Some(e) = timing.chip(bank, c).blocked_until(start, data_ready) {
+                    busy_words.insert_chip(c);
+                    words_clear = Some(words_clear.map_or(e, |w| w.min(e)));
+                }
+            }
+            let ecc_clear = timing.chip(bank, ecc_chip).blocked_until(start, data_ready);
+            let ecc_free = ecc_clear.is_none();
+            let pcc_clear = timing.chip(bank, pcc_chip).blocked_until(start, data_ready);
 
-            match busy_words.len() {
-                0 if ecc_free && (plain_ok || overlap_ok) => {
+            match busy_words.count() {
+                0 if ecc_free => {
                     let mut set = word_chips;
                     set.insert_chip(ecc_chip);
                     self.core
@@ -728,7 +771,7 @@ impl PcmapController {
                         .status_poll_n(bank, now, start, overlapping, polls);
                     return Some(self.issue_read(req, now, start, data_ready, set, None, None));
                 }
-                0 if self.kind.row_enabled() && !degraded && (plain_ok || overlap_ok) => {
+                0 if self.kind.row_enabled() && !degraded => {
                     self.core.stats.reads_deferred_only += 1;
                     // Words readable but only the ECC chip is busy: read
                     // now, defer the SECDED check. Profitable in every
@@ -752,8 +795,8 @@ impl PcmapController {
                         None,
                     ));
                 }
-                1 if self.kind.row_enabled() && !degraded && overlap_ok && pcc_free => {
-                    let missing = busy_words[0];
+                1 if self.kind.row_enabled() && !degraded && overlap_ok && pcc_clear.is_none() => {
+                    let missing = busy_words.chips().next().expect("one busy chip");
                     let mut set = word_chips;
                     set.remove(missing.index());
                     set.insert_chip(pcc_chip);
@@ -791,11 +834,8 @@ impl PcmapController {
                     self.core.stats.row_blocked_pcc_busy += 1;
                     // Event horizon: reconstruction waits on the PCC chip;
                     // its read window shifts rigidly with now.
-                    if let Some(e) = timing.chip(bank, pcc_chip).blocked_until(start, data_ready) {
-                        self.core.retry_hint = Some(match self.core.retry_hint {
-                            Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                            None => Cycle(e.0 - (start.0 - now.0)),
-                        });
+                    if let Some(e) = pcc_clear {
+                        self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
                     }
                     if self.core.lifetrace.enabled() {
                         let mut r = Resource::chip(bank, pcc_chip);
@@ -812,24 +852,14 @@ impl PcmapController {
                     // Event horizon: the read waits on whichever blocking
                     // chip frees first (busy word chips, or the line's ECC
                     // chip when no word chip is busy).
-                    let hint = if busy_words.is_empty() {
-                        timing.chip(bank, ecc_chip).blocked_until(start, data_ready)
-                    } else {
-                        busy_words
-                            .iter()
-                            .filter_map(|&c| timing.chip(bank, c).blocked_until(start, data_ready))
-                            .min()
-                    };
-                    if let Some(e) = hint {
-                        self.core.retry_hint = Some(match self.core.retry_hint {
-                            Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                            None => Cycle(e.0 - (start.0 - now.0)),
-                        });
+                    if let Some(e) = if n == 0 { ecc_clear } else { words_clear } {
+                        self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
                     }
+                    let first_busy = busy_words.chips().next();
                     if n >= 2 && self.kind.row_enabled() {
                         self.core.stats.row_blocked_multi_busy += 1;
                         if self.core.lifetrace.enabled() {
-                            let mut r = Resource::chip(bank, busy_words[0]);
+                            let mut r = Resource::chip(bank, first_busy.expect("busy chips"));
                             if let Some(b) = self.inflight_blocker(bank, now) {
                                 r = r.blocked_by(b);
                             }
@@ -847,13 +877,13 @@ impl PcmapController {
                         // obstacle is the line's ECC chip.
                         let cause = if degraded && self.kind.row_enabled() {
                             WaitCause::RankDemoted
-                        } else if busy_words.is_empty() && !ecc_free {
+                        } else if n == 0 && !ecc_free {
                             WaitCause::EccBusy
                         } else {
                             WaitCause::WriteInFlight
                         };
-                        let mut r = match busy_words.first() {
-                            Some(&c) => Resource::chip(bank, c),
+                        let mut r = match first_busy {
+                            Some(c) => Resource::chip(bank, c),
                             None if !ecc_free => Resource::chip(bank, ecc_chip),
                             None => Resource::bank(bank),
                         };
@@ -1061,6 +1091,262 @@ impl PcmapController {
     }
 }
 
+#[cfg(test)]
+impl PcmapController {
+    /// The reference write scan: the same decision as
+    /// [`Self::try_issue_write`], rebuilt from scratch on every call. It
+    /// gathers and sorts every queued write, hides lines with a skipped
+    /// write, tests the read-priority gate per write, peeks the stored
+    /// line for every candidate and tests each chip window twice.
+    fn reference_try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
+        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
+        pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
+        let degraded = self.rank_degraded(now);
+        let mut order: Vec<(Cycle, ReqId, usize, usize)> = Vec::new();
+        for (bank, q) in self.core.write_qs.iter().enumerate() {
+            order.extend(
+                q.iter()
+                    .enumerate()
+                    .map(|(pos, r)| (r.arrival, r.id, bank, pos)),
+            );
+        }
+        // Oldest first by (arrival, id); bank and queue position break
+        // ties in gathering order, as a stable sort of the requests would.
+        order.sort_unstable();
+        self.reference_issue_oldest_write(now, degraded, &order, out)
+    }
+
+    /// Visits the queued writes in `order` and issues the first one whose
+    /// chips are free. Returns `true` on issue.
+    fn reference_issue_oldest_write(
+        &mut self,
+        now: Cycle,
+        degraded: bool,
+        order: &[(Cycle, ReqId, usize, usize)],
+        out: &mut Vec<Completion>,
+    ) -> bool {
+        let mut skipped_lines: Vec<pcmap_types::LineAddr> = Vec::new();
+        for &(_, _, q, pos) in order {
+            let req = *self.core.write_qs[q].get(pos).expect("queued write");
+            // Same-address write order must be preserved: once an older
+            // write to a line is skipped, newer writes to that line may
+            // not jump it.
+            if skipped_lines.contains(&req.line) {
+                continue;
+            }
+            pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
+            let id = req.id;
+            let bank = req.loc.bank;
+            // Writes issue while the bus is in write mode (any drain
+            // active) or opportunistically after a read-idle window.
+            if !self.core.any_draining() && !self.core.read_idle(now) {
+                if self.core.lifetrace.enabled() {
+                    self.core.lifetrace.blocked(
+                        id.0,
+                        now,
+                        WaitCause::ReadPriority,
+                        Some(Resource::bank(bank)),
+                    );
+                }
+                skipped_lines.push(req.line);
+                continue;
+            }
+            let overlapping = self.has_inflight(bank, now);
+            // A degraded rank loses WoW speculation: overlapped writes
+            // wait for the in-flight write like the baseline would.
+            if overlapping && (!self.kind.wow_enabled() || degraded) {
+                // Event horizon: the candidate stays blocked until every
+                // in-flight data phase on this bank has ended.
+                if let Some(t) = self
+                    .inflight
+                    .iter()
+                    .filter(|w| w.bank == bank && w.data_end > now)
+                    .map(|w| w.data_end)
+                    .max()
+                {
+                    self.core.note_hint(t);
+                }
+                if self.core.lifetrace.enabled() {
+                    let cause = if degraded && self.kind.wow_enabled() {
+                        WaitCause::RankDemoted
+                    } else {
+                        WaitCause::WriteInFlight
+                    };
+                    let mut r = Resource::bank(bank);
+                    if let Some(blocker) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(blocker);
+                    }
+                    self.core.lifetrace.blocked(id.0, now, cause, Some(r));
+                }
+                skipped_lines.push(req.line);
+                continue;
+            }
+            let polls = if overlapping { self.poll_count() } else { 1 };
+            let start = if overlapping {
+                now + Duration(self.status_poll.0 * polls)
+            } else {
+                now
+            };
+            let ReqKind::Write { data } = req.kind else {
+                continue;
+            };
+
+            // Peek the essential set without mutating storage.
+            let stored = self.core.rank.read_data(bank, req.loc.row, req.loc.col);
+            let mask = stored.diff_words(&data);
+
+            if mask.is_empty() {
+                // Silent store — or the tail of a split write whose words
+                // have all landed.
+                self.core
+                    .checker
+                    .status_poll_n(bank, now, start, overlapping, polls);
+                self.dequeue_write(&req);
+                self.core
+                    .rank
+                    .write_words(bank, req.loc.row, req.loc.col, data, mask);
+                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
+                    self.split_in_progress.swap_remove(pos);
+                } else {
+                    self.core.stats.essential_histogram[0] += 1;
+                    self.core.stats.silent_writes += 1;
+                }
+                let done = start + Duration(self.core.t.array_read);
+                self.core.stats.irlp.open_window(bank, start, done);
+                self.core.lifetrace.issue(id.0, now, start, done);
+                self.complete_write(&req, bank, done, out);
+                return true;
+            }
+
+            // §IV-B4 split mode: with reads waiting, issue one essential
+            // word at a time so the bank stays RoW-compatible.
+            let full_count = mask.count();
+            let mut mask = mask;
+            let splitting = self.split_writes_for_row
+                && self.kind.row_enabled()
+                && (full_count > 1 || self.split_in_progress.contains(&id))
+                && !self.core.read_q.is_empty();
+            if splitting {
+                mask = WordMask::single(mask.first().expect("non-empty"));
+            }
+
+            // Plan the three phases.
+            let program_start = start + Duration(self.core.t.t_wl + self.core.t.burst);
+            let upd = op::check_chip_write_occupancy(&self.core.t);
+            let worst_end = program_start + Duration(self.core.t.array_set);
+
+            // Availability: data chips and ECC chip over step 1, PCC chip
+            // right after the data phase (step 2). Per-word SET/RESET
+            // variation is bounded by the worst case.
+            let timing = self.core.rank.timing();
+            let data_chips = self.layout.chips_of_mask(req.line, mask);
+            if !timing.set_free_during(bank, data_chips, start, worst_end) {
+                self.core.stats.wr_blocked_data += 1;
+                // Event horizon: the window [start, worst_end) shifts
+                // rigidly with `now`, so the conflict clears once `start`
+                // reaches the last conflicting reservation end.
+                if let Some(e) = timing.blocked_until(bank, data_chips, start, worst_end) {
+                    self.core.retry_hint = Some(match self.core.retry_hint {
+                        Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
+                        None => Cycle(e.0 - (start.0 - now.0)),
+                    });
+                }
+                if self.core.lifetrace.enabled() {
+                    // Diagnose the first busy chip of the conflicting set.
+                    let busy = data_chips
+                        .chips()
+                        .find(|&c| !timing.chip(bank, c).is_free_during(start, worst_end));
+                    let mut r = match busy {
+                        Some(c) => Resource::chip(bank, c),
+                        None => Resource::bank(bank),
+                    };
+                    if let Some(b) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(b);
+                    }
+                    self.core
+                        .lifetrace
+                        .blocked(id.0, now, WaitCause::WowSetConflict, Some(r));
+                }
+                skipped_lines.push(req.line);
+                continue;
+            }
+            let ecc_chip = self.layout.ecc_chip(req.line);
+            let ecc_end = start + upd;
+            if !timing.chip(bank, ecc_chip).is_free_during(start, ecc_end) {
+                self.core.stats.wr_blocked_ecc += 1;
+                // Event horizon: ECC update window shifts rigidly with now.
+                if let Some(e) = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end) {
+                    self.core.retry_hint = Some(match self.core.retry_hint {
+                        Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
+                        None => Cycle(e.0 - (start.0 - now.0)),
+                    });
+                }
+                if self.core.lifetrace.enabled() {
+                    let mut r = Resource::chip(bank, ecc_chip);
+                    if let Some(b) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(b);
+                    }
+                    self.core
+                        .lifetrace
+                        .blocked(id.0, now, WaitCause::EccBusy, Some(r));
+                }
+                skipped_lines.push(req.line);
+                continue;
+            }
+            let pcc_chip = self.layout.pcc_chip(req.line);
+            if !timing
+                .chip(bank, pcc_chip)
+                .is_free_during(worst_end, worst_end + upd)
+            {
+                self.core.stats.wr_blocked_pcc += 1;
+                // Event horizon: PCC window [worst_end, worst_end + upd)
+                // also shifts rigidly with now.
+                if let Some(e) = timing
+                    .chip(bank, pcc_chip)
+                    .blocked_until(worst_end, worst_end + upd)
+                {
+                    self.core.retry_hint = Some(match self.core.retry_hint {
+                        Some(h) => h.min(Cycle(e.0 - (worst_end.0 - now.0))),
+                        None => Cycle(e.0 - (worst_end.0 - now.0)),
+                    });
+                }
+                if self.core.lifetrace.enabled() {
+                    let mut r = Resource::chip(bank, pcc_chip);
+                    if let Some(b) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(b);
+                    }
+                    self.core
+                        .lifetrace
+                        .blocked(id.0, now, WaitCause::PccBusy, Some(r));
+                }
+                skipped_lines.push(req.line);
+                continue;
+            }
+
+            self.core
+                .checker
+                .status_poll_n(bank, now, start, overlapping, polls);
+            if overlapping {
+                self.core
+                    .checker
+                    .speculative_on_degraded(bank, start, degraded, "WoW write");
+            }
+            self.issue_fine_write(
+                req,
+                now,
+                mask,
+                start,
+                program_start,
+                overlapping,
+                splitting.then_some(full_count),
+                out,
+            );
+            return true;
+        }
+        false
+    }
+}
+
 impl Controller for PcmapController {
     fn enqueue_read(
         &mut self,
@@ -1071,7 +1357,9 @@ impl Controller for PcmapController {
     }
 
     fn enqueue_write(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
-        self.core.enqueue_write_common(req)
+        self.core.enqueue_write_common(req)?;
+        self.index_write(req);
+        Ok(())
     }
 
     fn step(&mut self, now: Cycle) -> Vec<Completion> {
@@ -1180,7 +1468,9 @@ impl Controller for PcmapController {
 mod tests {
     use super::*;
     use pcmap_ctrl::request::ReqKind;
-    use pcmap_types::{CacheLine, CoreId, PhysAddr};
+    use pcmap_faults::FaultPlan;
+    use pcmap_types::{CacheLine, CoreId, FaultConfig, PhysAddr, Xoshiro256};
+    use proptest::prelude::*;
 
     fn ctrl(kind: SystemKind) -> PcmapController {
         let mut c = PcmapController::new(
@@ -1695,5 +1985,141 @@ mod tests {
         let nr = run(SystemKind::WowNr);
         let rde = run(SystemKind::RwowRde);
         assert!(rde < nr, "RDE drain end {rde:?} must beat NR {nr:?}");
+    }
+
+    /// Queued write ids per bank, in queue order.
+    fn queued_writes(c: &PcmapController) -> Vec<Vec<u64>> {
+        c.core
+            .write_qs
+            .iter()
+            .map(|q| q.iter().map(|r| r.id.0).collect())
+            .collect()
+    }
+
+    /// Steps the indexed controller `a` and the reference-scan controller
+    /// `b` at `now` and asserts they agree on everything the write scan
+    /// decides or leaves behind.
+    fn step_both(a: &mut PcmapController, b: &mut PcmapController, now: Cycle) {
+        let (out_a, out_b) = (a.step(now), b.step(now));
+        assert_eq!(out_a, out_b, "same completions at {now:?}");
+        assert_eq!(queued_writes(a), queued_writes(b), "same queues at {now:?}");
+        assert_eq!(a.split_in_progress, b.split_in_progress);
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(
+            (sa.wr_blocked_data, sa.wr_blocked_ecc, sa.wr_blocked_pcc),
+            (sb.wr_blocked_data, sb.wr_blocked_ecc, sb.wr_blocked_pcc),
+            "same blocked-write tallies at {now:?}"
+        );
+        assert_eq!(sa.faults_status_poll, sb.faults_status_poll);
+        assert_eq!(a.core.retry_hint, b.core.retry_hint, "at {now:?}");
+        assert_eq!(a.core.wake, b.core.wake, "at {now:?}");
+        // The index mirrors the queues, oldest first.
+        let mut queued: Vec<_> = a
+            .core
+            .write_qs
+            .iter()
+            .flat_map(|q| q.iter().map(|r| (r.arrival, r.id)))
+            .collect();
+        queued.sort_unstable();
+        let indexed: Vec<_> = a.writes.iter().map(|w| (w.req.arrival, w.req.id)).collect();
+        assert_eq!(indexed, queued);
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_write_scan_matches_the_reference_scan(
+            seed: u64,
+            variant in 0u64..5,
+            ops in 40u64..220,
+            banks in 2u8..5,
+            knobs in 0u64..32,
+        ) {
+            let kind = SystemKind::pcmap_variants()[variant as usize];
+            let org = MemOrg { banks, ..MemOrg::tiny() };
+            let make = |reference: bool| {
+                let mut c = PcmapController::new(
+                    kind,
+                    org,
+                    TimingParams::paper_default(),
+                    QueueParams::paper_default(),
+                    seed,
+                );
+                c.reference_write_scan = reference;
+                c.set_split_writes_for_row(knobs & 1 != 0);
+                c.set_overlap_reads_in_normal(knobs & 2 != 0);
+                // The tracer's conservation check does not hold for split
+                // writes (their silent tail retires before the last
+                // partial's service ends), so trace only unsplit runs.
+                c.set_lifetrace(knobs & 4 != 0 && knobs & 1 == 0);
+                if knobs & 8 != 0 {
+                    // A storm dense enough to corrupt status polls and to
+                    // demote (and re-promote) the rank within a case.
+                    let cfg = FaultConfig {
+                        status_corrupt_rate: 0.3,
+                        degrade_threshold: 2,
+                        degrade_window: 2_000,
+                        clean_window: 600,
+                        ..FaultConfig::storm(0.12, seed ^ 0x5eed)
+                    };
+                    c.set_fault_plan(FaultPlan::new(cfg, 0));
+                }
+                c
+            };
+            let (mut a, mut b) = (make(false), make(true));
+            let mut rng = Xoshiro256::new(seed ^ 0xa11_0c8);
+            let mut now = Cycle(0);
+            let lines = if knobs & 16 != 0 { 6 } else { 40 };
+            for id in 1..=ops {
+                // pcmap-lint: allow(manual-time-advance, reason = "property driver models request arrival times, not the run-loop clock")
+                now = Cycle(now.0 + rng.next_below(24));
+                let addr = PhysAddr::new(rng.next_below(lines) * 64);
+                let loc = org.decode(addr);
+                // Arrivals may trail the clock a little, so the index
+                // also inserts behind its tail.
+                let arrival = Cycle(now.0.saturating_sub(rng.next_below(4)));
+                let kind = if rng.chance(0.55) {
+                    let mut data = a.rank().read_data(loc.bank, loc.row, loc.col);
+                    // A silent store now and then; otherwise 1–4 words.
+                    if !rng.chance(0.15) {
+                        for _ in 0..=rng.next_below(4) {
+                            data.set_word(rng.next_below(8) as usize, rng.next_u64());
+                        }
+                    }
+                    ReqKind::Write { data }
+                } else {
+                    ReqKind::Read
+                };
+                let req = MemRequest {
+                    id: ReqId(id),
+                    kind,
+                    line: addr.line(),
+                    loc,
+                    core: CoreId(0),
+                    arrival,
+                };
+                if matches!(kind, ReqKind::Read) {
+                    prop_assert_eq!(
+                        a.enqueue_read(req, now).ok(),
+                        b.enqueue_read(req, now).ok()
+                    );
+                } else {
+                    prop_assert_eq!(
+                        a.enqueue_write(req, now).is_ok(),
+                        b.enqueue_write(req, now).is_ok()
+                    );
+                }
+                step_both(&mut a, &mut b, now);
+            }
+            while let Some(wake) = a.next_wake(now) {
+                now = wake;
+                step_both(&mut a, &mut b, now);
+                prop_assert!(now.0 < 2_000_000, "controllers failed to drain");
+            }
+            prop_assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
+            prop_assert_eq!(
+                format!("{:?}", a.lifetrace()),
+                format!("{:?}", b.lifetrace())
+            );
+        }
     }
 }

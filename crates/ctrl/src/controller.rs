@@ -225,7 +225,8 @@ pub struct CtrlCore {
     /// Scratch: earliest retry hint noted by a blocked issue branch during
     /// the current step-body pass ([`Self::note_hint`]). Reset at the top
     /// of each inner scheduling pass so only the final (non-issuing)
-    /// pass's hints survive into [`Self::compute_wake`].
+    /// pass's hints survive into [`Self::compute_wake`], and stay
+    /// readable after the step until the next pass clears them.
     pub retry_hint: Option<Cycle>,
 }
 
@@ -301,7 +302,7 @@ impl CtrlCore {
         for w in &self.watchdogs {
             wake = wake.min(w.fire_at);
         }
-        if let Some(h) = self.retry_hint.take() {
+        if let Some(h) = self.retry_hint {
             wake = wake.min(h);
         }
         // Writes parked behind read priority unblock when the read-idle

@@ -35,6 +35,9 @@ pub struct RankStorage {
     /// Seed mixed into default content so different ranks hold different
     /// pristine data.
     seed: u64,
+    /// Per-bank count of [`Self::store`] calls: a value derived from a
+    /// bank's stored data stays valid while its generation is unchanged.
+    generations: Vec<u64>,
 }
 
 impl RankStorage {
@@ -52,6 +55,7 @@ impl RankStorage {
             lines: BTreeMap::new(),
             stuck: BTreeMap::new(),
             seed,
+            generations: vec![0; org.banks as usize],
         }
     }
 
@@ -110,6 +114,14 @@ impl RankStorage {
             }
         }
         self.lines.insert(key, line);
+        self.generations[bank.index()] += 1;
+    }
+
+    /// The store generation of `bank`: it changes whenever any line of
+    /// the bank is stored, and only then.
+    #[must_use]
+    pub fn generation(&self, bank: BankId) -> u64 {
+        self.generations[bank.index()]
     }
 
     /// Number of lines that have been explicitly written.
@@ -223,6 +235,20 @@ mod tests {
         s.store(b, r, c, line);
         assert_eq!(s.load(b, r, c), line);
         assert_eq!(s.touched_lines(), 1);
+    }
+
+    #[test]
+    fn store_advances_only_its_banks_generation() {
+        let mut s = RankStorage::new(MemOrg::tiny());
+        let (b, r, c) = coords();
+        let other = BankId(0);
+        let (g, g_other) = (s.generation(b), s.generation(other));
+        s.inject_bit_error(b, r, c, 1, 3);
+        assert_eq!(s.generation(b), g + 1);
+        assert_eq!(s.generation(other), g_other);
+        // Sticking a cell changes no stored data, so no generation moves.
+        s.stick_bit(b, r, c, 2, 9);
+        assert_eq!(s.generation(b), g + 1);
     }
 
     #[test]

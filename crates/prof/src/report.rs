@@ -6,7 +6,7 @@
 //! {
 //!   "schema": "pcmap-prof-report", "schema_version": 1,
 //!   "enabled": true,
-//!   "spans":    [{"name": "ctrl.step", "calls": 1, "total_ns": 1}],
+//!   "spans":    [{"name": "ctrl.step", "calls": 1, "total_ns": 1, "self_ns": 1}],
 //!   "counters": [{"name": "constraint_checks", "value": 1}],
 //!   "sim": {"runs": 1, "sim_cycles": 1},
 //!   "occupancy": {
@@ -18,7 +18,10 @@
 //! }
 //! ```
 //!
-//! Span totals are *inclusive* (a parent span contains its children).
+//! Span totals are *inclusive* (a parent span contains its children);
+//! `self_ns` is *exclusive* (the total minus the children that closed
+//! inside it on the same thread), so self times sum without double
+//! counting.
 //! Occupancy idle time is derived by the consumer:
 //! `idle = run_cycles − busy_cycles` per chip, and per bank
 //! `idle_chip_cycles = run_cycles × chips − busy_chip_cycles`.
@@ -47,6 +50,7 @@ pub fn report() -> Value {
             o.set("name", Value::Str(id.name().to_owned()));
             o.set("calls", Value::U64(calls));
             o.set("total_ns", Value::U64(total_ns));
+            o.set("self_ns", Value::U64(span::self_ns(id)));
             o
         })
         .collect();

@@ -5,8 +5,11 @@
 //! nanoseconds into a fixed, enum-indexed atomic table. Spans nest
 //! freely — each level accumulates its own wall total, so a parent's
 //! total *includes* its children (the report documents totals as
-//! inclusive time).
+//! inclusive time). Each level also accumulates its *self* time: its
+//! total minus the totals of the spans that closed inside it on the same
+//! thread, so self times add up without double counting.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -86,6 +89,14 @@ const N: usize = SpanId::ALL.len();
 const ZERO: AtomicU64 = AtomicU64::new(0);
 static TOTAL_NS: [AtomicU64; N] = [ZERO; N];
 static HITS: [AtomicU64; N] = [ZERO; N];
+static SELF_NS: [AtomicU64; N] = [ZERO; N];
+
+thread_local! {
+    /// Time spent in the closed children of this thread's innermost open
+    /// recording span. Each guard saves its parent's value on entry and
+    /// restores it, plus its own total, on exit.
+    static CHILD_NS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Opens a span over `id`. Drop it to record; keep it alive across the
 /// region you want attributed. When profiling is disabled the guard is
@@ -96,7 +107,8 @@ pub fn span(id: SpanId) -> SpanGuard {
     SpanGuard {
         id,
         begun: if crate::enabled() {
-            Some(Instant::now())
+            let parent_children = CHILD_NS.replace(0);
+            Some((Instant::now(), parent_children))
         } else {
             None
         },
@@ -107,15 +119,18 @@ pub fn span(id: SpanId) -> SpanGuard {
 #[derive(Debug)]
 pub struct SpanGuard {
     id: SpanId,
-    begun: Option<Instant>,
+    /// Entry time, and the enclosing span's child time saved at entry.
+    begun: Option<(Instant, u64)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(begun) = self.begun.take() {
+        if let Some((begun, parent_children)) = self.begun.take() {
             let ns = u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let children = CHILD_NS.replace(parent_children.saturating_add(ns));
             let i = self.id.idx();
             TOTAL_NS[i].fetch_add(ns, Ordering::Relaxed);
+            SELF_NS[i].fetch_add(ns.saturating_sub(children), Ordering::Relaxed);
             HITS[i].fetch_add(1, Ordering::Relaxed);
             if crate::trace::trace_enabled() {
                 crate::trace::record(self.id.name(), begun, ns);
@@ -134,9 +149,17 @@ pub fn snapshot(id: SpanId) -> (u64, u64) {
     )
 }
 
+/// Exclusive time of one span: its total minus the time spent in spans
+/// nested inside it on the same thread.
+#[must_use]
+pub fn self_ns(id: SpanId) -> u64 {
+    SELF_NS[id.idx()].load(Ordering::Relaxed)
+}
+
 pub(crate) fn reset_spans() {
     for i in 0..N {
         TOTAL_NS[i].store(0, Ordering::Relaxed);
+        SELF_NS[i].store(0, Ordering::Relaxed);
         HITS[i].store(0, Ordering::Relaxed);
     }
 }
@@ -184,6 +207,32 @@ mod tests {
         assert_eq!(outer_calls1, outer_calls0 + 1);
         // Inclusive timing: the outer span contains the inner sleep.
         assert!(outer_ns1 - outer_ns0 >= inner_ns_alone);
+        crate::disable();
+    }
+
+    #[test]
+    fn self_time_of_parent_and_child_adds_up_to_the_parent_total() {
+        let _g = crate::test_lock();
+        crate::enable();
+        let (_, outer_ns0) = snapshot(SpanId::SimStep);
+        let (outer_self0, inner_self0) = (self_ns(SpanId::SimStep), self_ns(SpanId::CtrlStep));
+        let (_, inner_ns0) = snapshot(SpanId::CtrlStep);
+        {
+            let _outer = span(SpanId::SimStep);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            {
+                let _inner = span(SpanId::CtrlStep);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        let outer_total = snapshot(SpanId::SimStep).1 - outer_ns0;
+        let inner_total = snapshot(SpanId::CtrlStep).1 - inner_ns0;
+        let outer_self = self_ns(SpanId::SimStep) - outer_self0;
+        let inner_self = self_ns(SpanId::CtrlStep) - inner_self0;
+        // A leaf's self time is its total; the parent's excludes it.
+        assert_eq!(inner_self, inner_total);
+        assert_eq!(outer_self + inner_self, outer_total);
+        assert!(outer_self >= 1_000_000, "slept ≥1ms outside the child");
         crate::disable();
     }
 }

@@ -2,13 +2,14 @@
 //! workspace binary that shells out to cargo).
 //!
 //! ```text
-//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, perfbench, check, pardiff, soak, explain, perf --smoke
+//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, perfbench, check, ablations, pardiff, soak, explain, perf --smoke
 //! cargo xtask fmt      # rustfmt the whole tree
 //! cargo xtask lint     # pcmap-lint determinism/hygiene pass -> results/lint.json
 //! cargo xtask analyze  # pcmap-analyze semantic passes -> results/analyze.json
 //! cargo xtask clippy   # clippy -D warnings only
 //! cargo xtask perfbench # build and test the benchmark package against the crates
 //! cargo xtask check    # PCMAP_CHECK=1 release experiment runs (protocol invariants)
+//! cargo xtask ablations # ablations output byte-compared with results/ablations.txt
 //! cargo xtask pardiff  # sweep jobs-1 vs jobs-4 JSON byte-diff gate
 //! cargo xtask soak     # seeded fault-storm recovery gate -> results/soak.json
 //! cargo xtask serve-soak # overload-safe ingestion gate -> results/serve_soak.json
@@ -148,6 +149,40 @@ fn check() -> Result<(), String> {
             ],
             &[("PCMAP_CHECK", "1")],
         )?;
+    }
+    Ok(())
+}
+
+/// Re-runs the DESIGN.md §5 ablations and byte-compares their output
+/// with the committed `results/ablations.txt`. They are the only
+/// experiment that drives the split-write (§IV-B4) and zero-cost
+/// status-poll paths, so this pins both.
+fn ablations() -> Result<(), String> {
+    let args = [
+        "run",
+        "--release",
+        "-q",
+        "-p",
+        "pcmap-bench",
+        "--bin",
+        "ablations",
+    ];
+    println!(
+        "xtask: cargo {} | cmp - results/ablations.txt",
+        args.join(" ")
+    );
+    let out = cargo()
+        .args(args)
+        .output()
+        .map_err(|e| format!("ablations: {e}"))?;
+    if !out.status.success() {
+        eprintln!("{}", String::from_utf8_lossy(&out.stderr));
+        return Err("ablations".to_owned());
+    }
+    let pinned = fs::read("results/ablations.txt")
+        .map_err(|e| format!("ablations: read results/ablations.txt: {e}"))?;
+    if out.stdout != pinned {
+        return Err("ablations: output differs from results/ablations.txt".to_owned());
     }
     Ok(())
 }
@@ -300,6 +335,7 @@ fn main() -> ExitCode {
             .and_then(|()| test())
             .and_then(|()| perfbench())
             .and_then(|()| check())
+            .and_then(|()| ablations())
             .and_then(|()| pardiff())
             .and_then(|()| soak())
             .and_then(|()| serve_soak())
@@ -312,6 +348,7 @@ fn main() -> ExitCode {
         "test" => test(),
         "perfbench" => perfbench(),
         "check" => check(),
+        "ablations" => ablations(),
         "pardiff" => pardiff(),
         "soak" => soak(),
         "serve-soak" => serve_soak(),
@@ -322,7 +359,7 @@ fn main() -> ExitCode {
         ),
         _ => {
             eprintln!(
-                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|perfbench|check|pardiff|soak|serve-soak|explain|perf [--smoke] [--alloc]>"
+                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|perfbench|check|ablations|pardiff|soak|serve-soak|explain|perf [--smoke] [--alloc]>"
             );
             return ExitCode::from(2);
         }
