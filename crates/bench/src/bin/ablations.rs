@@ -11,6 +11,12 @@ fn run(cfg: SimConfig, wl: &catalog::Workload) -> f64 {
     System::new(cfg.clone(), wl.clone()).run().ipc()
 }
 
+/// Cycle of the latest completion in one controller step's output
+/// (0 for none).
+fn last_completion(out: &[pcmap_ctrl::Completion]) -> u64 {
+    out.iter().map(|c| c.done.0).max().unwrap_or(0)
+}
+
 fn main() {
     // First positional integer is the request budget; `--jobs N` (and its
     // value) is handled by `jobs_from_args`.
@@ -125,16 +131,18 @@ fn main() {
                 };
                 c.enqueue_write(req, Cycle(0)).unwrap();
             }
+            // The drain ends when the last write completes, which can be
+            // well after the last scheduling step.
             let mut now = Cycle(0);
-            c.step(now);
+            let mut last_done = last_completion(&c.step(now));
             while let Some(wake) = c.next_wake(now) {
                 now = wake;
-                c.step(now);
+                last_done = last_done.max(last_completion(&c.step(now)));
                 if now.0 > 100_000 {
                     break;
                 }
             }
-            now.0
+            last_done
         };
         println!(
             "ablation_status_poll — 20-write same-bank burst drain: {} cycles with 2-cycle polls, {} with free oracle
@@ -191,15 +199,15 @@ fn main() {
                 let _ = c.enqueue_read(req, Cycle(0));
             }
             let mut now = Cycle(0);
-            c.step(now);
+            let mut last_done = last_completion(&c.step(now));
             while let Some(wake) = c.next_wake(now) {
                 now = wake;
-                c.step(now);
+                last_done = last_done.max(last_completion(&c.step(now)));
                 if now.0 > 1_000_000 {
                     break;
                 }
             }
-            (c.stats().reads_via_row, now.0)
+            (c.stats().reads_via_row, last_done)
         };
         let (row_off, t_off) = run(false);
         let (row_on, t_on) = run(true);

@@ -35,10 +35,11 @@ use pcmap_ctrl::op;
 use pcmap_ctrl::request::{Completion, MemRequest, ReqId, ReqKind};
 use pcmap_ctrl::stats::CtrlStats;
 use pcmap_ctrl::BusDir;
-use pcmap_device::PcmRank;
+use pcmap_device::{PcmRank, RankTiming};
 use pcmap_obs::{ChipRole, LifecycleTracer, RecoveryKind, Resource, WaitCause};
 use pcmap_types::{
-    BankId, ChipId, ChipSet, Cycle, Duration, MemOrg, QueueParams, TimingParams, WordMask,
+    BankId, ChipId, ChipSet, ColAddr, Cycle, Duration, MemOrg, QueueParams, RowAddr, TimingParams,
+    WordMask,
 };
 
 /// A write currently occupying chips on a bank (its data phase).
@@ -50,6 +51,56 @@ struct InflightWrite {
     /// Request id of the write (blocker attribution for the lifecycle
     /// tracer).
     req: u64,
+}
+
+/// Which of a bank's chips are busy over one window `[start, end)`, and
+/// until when: [`pcmap_device::ChipBankState::blocked_until`] per chip,
+/// filled in as candidates ask for chips. Reservations change only when
+/// a write issues, which ends the scheduling call, so a summary stays
+/// exact for the rest of the call that built it.
+#[derive(Debug, Clone, Copy)]
+struct WindowSummary {
+    bank: BankId,
+    start: Cycle,
+    end: Cycle,
+    /// Chips whose `busy` membership and `ends` entry are filled in.
+    known: ChipSet,
+    /// Known chips with a reservation overlapping the window.
+    busy: ChipSet,
+    /// Per busy chip, the latest end of its overlapping reservations.
+    ends: [Cycle; ChipId::TOTAL_CHIPS],
+}
+
+impl WindowSummary {
+    fn new(bank: BankId, start: Cycle, end: Cycle) -> Self {
+        Self {
+            bank,
+            start,
+            end,
+            known: ChipSet::empty(),
+            busy: ChipSet::empty(),
+            ends: [Cycle::ZERO; ChipId::TOTAL_CHIPS],
+        }
+    }
+
+    /// [`RankTiming::blocked_until`] of `chips` over the window: the
+    /// latest end among the busy ones, `None` when all are free.
+    fn blocked_until(&mut self, timing: &RankTiming, chips: ChipSet) -> Option<Cycle> {
+        for c in (chips & !self.known).chips() {
+            if let Some(e) = timing
+                .chip(self.bank, c)
+                .blocked_until(self.start, self.end)
+            {
+                self.busy.insert_chip(c);
+                self.ends[c.index()] = e;
+            }
+        }
+        self.known = self.known | chips;
+        (self.busy & chips)
+            .chips()
+            .map(|c| self.ends[c.index()])
+            .max()
+    }
 }
 
 /// A queued write in the controller's arrival index.
@@ -78,8 +129,15 @@ pub struct PcmapController {
     core: CtrlCore,
     kind: SystemKind,
     layout: Layout,
-    // pcmap-lint: allow(missed-wake, reason = "every site where an in-flight write blocks a candidate feeds the blocker's data_end into note_hint/retry_hint, which compute_wake reads; the pass cannot see that value-level relay")
+    /// Writes in their data phase, for blocker attribution in the
+    /// lifecycle tracer (and the reference scan's own overlap test).
+    // pcmap-lint: allow(missed-wake, reason = "only the tracer's blocker attribution and the test-only reference scan read it; scheduling decisions read inflight_end")
     inflight: Vec<InflightWrite>,
+    /// Per bank, the latest data-phase end of any write issued to it:
+    /// the bank has a write in flight at `now` exactly when its entry
+    /// lies past `now`, and that entry is when the last one ends.
+    // pcmap-lint: allow(missed-wake, reason = "every site where an in-flight write blocks a candidate feeds this data_end into note_hint, which compute_wake reads; the pass cannot see that value-level relay")
+    inflight_end: Vec<Cycle>,
     /// Extra cycles charged before any overlapped issue (`Status` command);
     /// settable to 0 for the status-poll ablation.
     status_poll: Duration,
@@ -91,12 +149,16 @@ pub struct PcmapController {
     /// break multi-word writes into serial single-word partial writes so
     /// every phase stays RoW-compatible — at the cost of write latency.
     split_writes_for_row: bool,
-    /// Writes currently being issued word-by-word under the split mode.
+    /// Writes currently being issued word-by-word under the split mode,
+    /// each with the latest completion of its partial issues so far.
     // pcmap-lint: allow(missed-wake, reason = "a split write stays resident in its write queue until every partial issues, and compute_wake reads queue occupancy; this list only de-duplicates the split bookkeeping")
-    split_in_progress: Vec<ReqId>,
+    split_in_progress: Vec<(ReqId, Cycle)>,
     /// Every queued write, oldest first by `(arrival, id)`: the order in
     /// which [`Self::try_issue_write`] considers them (§IV-D2 rule 2).
     writes: Vec<QueuedWrite>,
+    /// Scratch for one write scan: the data-chip window summaries built
+    /// so far, cleared at the start of every scan.
+    windows: Vec<WindowSummary>,
     /// Test-only: schedule writes with the reference full scan instead
     /// of the index, so the two can be compared step by step.
     #[cfg(test)]
@@ -121,11 +183,13 @@ impl PcmapController {
             kind,
             layout: kind.layout(),
             inflight: Vec::new(),
+            inflight_end: vec![Cycle::ZERO; usize::from(org.banks)],
             status_poll,
             overlap_reads_in_normal: true,
             split_writes_for_row: false,
             split_in_progress: Vec::new(),
             writes: Vec::new(),
+            windows: Vec::new(),
             #[cfg(test)]
             reference_write_scan: false,
         }
@@ -160,9 +224,7 @@ impl PcmapController {
     }
 
     fn has_inflight(&self, bank: BankId, now: Cycle) -> bool {
-        self.inflight
-            .iter()
-            .any(|w| w.bank == bank && w.data_end > now)
+        self.inflight_end[bank.index()] > now
     }
 
     fn prune_inflight(&mut self, now: Cycle) {
@@ -254,20 +316,40 @@ impl PcmapController {
     /// and the data chips holding them. Memoised per write: the result
     /// stays valid while the bank's store generation is unchanged.
     fn essential_of(&mut self, i: usize) -> (WordMask, ChipSet) {
-        let w = self.writes[i];
+        let w = &self.writes[i];
         let (bank, row, col) = (w.req.loc.bank, w.req.loc.row, w.req.loc.col);
         let generation = self.core.rank.storage().generation(bank);
         if w.memo_gen == Some(generation) {
             return (w.mask, w.chips);
         }
-        let ReqKind::Write { data } = w.req.kind else {
+        let ReqKind::Write { data } = &w.req.kind else {
             unreachable!("the write queues hold only writes")
         };
-        let mask = self.core.rank.read_data(bank, row, col).diff_words(&data);
+        let mask = self.core.rank.read_data(bank, row, col).diff_words(data);
         let chips = self.layout.chips_of_mask(w.req.line, mask);
         let e = &mut self.writes[i];
         (e.memo_gen, e.mask, e.chips) = (Some(generation), mask, chips);
         (mask, chips)
+    }
+
+    /// Carries the memos of `bank`'s other queued writes across this
+    /// controller's own store to `(row, col)`, taken at store generation
+    /// `before`. A store changes only the line at its storage location,
+    /// so a memo of any other location taken at `before` stays exact
+    /// when the store moved the generation by exactly one. Keyed by
+    /// location rather than line address: distinct lines can share a
+    /// storage slot.
+    fn revalidate_memos(&mut self, bank: BankId, row: RowAddr, col: ColAddr, before: u64) {
+        let after = self.core.rank.storage().generation(bank);
+        if after != before + 1 {
+            return;
+        }
+        for w in &mut self.writes {
+            let loc = w.req.loc;
+            if loc.bank == bank && w.memo_gen == Some(before) && (loc.row, loc.col) != (row, col) {
+                w.memo_gen = Some(after);
+            }
+        }
     }
 
     /// Attempts to issue one write (fine-grained, all phases committed):
@@ -298,12 +380,21 @@ impl PcmapController {
             }
             return false;
         }
+        // The window summaries live for this scan only; the buffer is
+        // taken and put back so just its capacity outlives the call.
+        let mut windows = std::mem::take(&mut self.windows);
+        windows.clear();
+        let mut issued = false;
         for i in 0..self.writes.len() {
-            if !self.writes[i].shadowed && self.try_write_candidate(i, now, degraded, out) {
-                return true;
+            if !self.writes[i].shadowed
+                && self.try_write_candidate(i, now, degraded, &mut windows, out)
+            {
+                issued = true;
+                break;
             }
         }
-        false
+        self.windows = windows;
+        issued
     }
 
     /// Issues indexed write `i` if its chips are free; otherwise counts
@@ -314,27 +405,22 @@ impl PcmapController {
         i: usize,
         now: Cycle,
         degraded: bool,
+        windows: &mut Vec<WindowSummary>,
         out: &mut Vec<Completion>,
     ) -> bool {
         pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
-        let req = self.writes[i].req;
-        let id = req.id;
-        let bank = req.loc.bank;
+        // The request is copied only once it issues.
+        let (id, bank, line) = {
+            let r = &self.writes[i].req;
+            (r.id, r.loc.bank, r.line)
+        };
         let overlapping = self.has_inflight(bank, now);
         // A degraded rank loses WoW speculation: overlapped writes
         // wait for the in-flight write like the baseline would.
         if overlapping && (!self.kind.wow_enabled() || degraded) {
             // Event horizon: the candidate stays blocked until every
             // in-flight data phase on this bank has ended.
-            if let Some(t) = self
-                .inflight
-                .iter()
-                .filter(|w| w.bank == bank && w.data_end > now)
-                .map(|w| w.data_end)
-                .max()
-            {
-                self.core.note_hint(t);
-            }
+            self.core.note_hint(self.inflight_end[bank.index()]);
             if self.core.lifetrace.enabled() {
                 let cause = if degraded && self.kind.wow_enabled() {
                     WaitCause::RankDemoted
@@ -360,26 +446,8 @@ impl PcmapController {
         if mask.is_empty() {
             // Silent store — or the tail of a split write whose words
             // have all landed.
-            let ReqKind::Write { data } = req.kind else {
-                unreachable!("the write queues hold only writes")
-            };
-            self.core
-                .checker
-                .status_poll_n(bank, now, start, overlapping, polls);
-            self.dequeue_write(&req);
-            self.core
-                .rank
-                .write_words(bank, req.loc.row, req.loc.col, data, mask);
-            if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
-                self.split_in_progress.swap_remove(pos);
-            } else {
-                self.core.stats.essential_histogram[0] += 1;
-                self.core.stats.silent_writes += 1;
-            }
-            let done = start + Duration(self.core.t.array_read);
-            self.core.stats.irlp.open_window(bank, start, done);
-            self.core.lifetrace.issue(id.0, now, start, done);
-            self.complete_write(&req, bank, done, out);
+            let req = self.writes[i].req;
+            self.issue_silent_write(&req, now, start, overlapping, polls, out);
             return true;
         }
 
@@ -388,11 +456,11 @@ impl PcmapController {
         let full_count = mask.count();
         let splitting = self.split_writes_for_row
             && self.kind.row_enabled()
-            && (full_count > 1 || self.split_in_progress.contains(&id))
+            && (full_count > 1 || self.split_partials_done(id).is_some())
             && !self.core.read_q.is_empty();
         let (mask, data_chips) = if splitting {
             let single = WordMask::single(mask.first().expect("non-empty"));
-            (single, self.layout.chips_of_mask(req.line, single))
+            (single, self.layout.chips_of_mask(line, single))
         } else {
             (mask, full_chips)
         };
@@ -406,9 +474,26 @@ impl PcmapController {
         // right after the data phase (step 2). Per-word SET/RESET
         // variation is bounded by the worst case. Each window is tested
         // and hinted by one scan: `blocked_until` is `None` exactly when
-        // the window is free.
+        // the window is free. The data window is read from this scan's
+        // per-(bank, window) summary.
         let timing = self.core.rank.timing();
-        if let Some(e) = timing.blocked_until(bank, data_chips, start, worst_end) {
+        let summary = match windows
+            .iter()
+            .position(|w| w.bank == bank && w.start == start && w.end == worst_end)
+        {
+            Some(k) => &mut windows[k],
+            None => {
+                windows.push(WindowSummary::new(bank, start, worst_end));
+                windows.last_mut().expect("just pushed")
+            }
+        };
+        let data_blocked = summary.blocked_until(timing, data_chips);
+        debug_assert_eq!(
+            data_blocked,
+            timing.blocked_until(bank, data_chips, start, worst_end),
+            "stale window summary"
+        );
+        if let Some(e) = data_blocked {
             self.core.stats.wr_blocked_data += 1;
             // Event horizon: the window [start, worst_end) shifts
             // rigidly with `now`, so the conflict clears once `start`
@@ -433,7 +518,7 @@ impl PcmapController {
             }
             return false;
         }
-        let ecc_chip = self.layout.ecc_chip(req.line);
+        let ecc_chip = self.layout.ecc_chip(line);
         if let Some(e) = timing
             .chip(bank, ecc_chip)
             .blocked_until(start, start + upd)
@@ -452,7 +537,7 @@ impl PcmapController {
             }
             return false;
         }
-        let pcc_chip = self.layout.pcc_chip(req.line);
+        let pcc_chip = self.layout.pcc_chip(line);
         if let Some(e) = timing
             .chip(bank, pcc_chip)
             .blocked_until(worst_end, worst_end + upd)
@@ -481,6 +566,7 @@ impl PcmapController {
                 .checker
                 .speculative_on_degraded(bank, start, degraded, "WoW write");
         }
+        let req = self.writes[i].req;
         self.issue_fine_write(
             req,
             now,
@@ -492,6 +578,46 @@ impl PcmapController {
             out,
         );
         true
+    }
+
+    /// The latest completion among the partial issues of split write
+    /// `id`, if it is being split.
+    fn split_partials_done(&self, id: ReqId) -> Option<Cycle> {
+        self.split_in_progress
+            .iter()
+            .find(|&&(r, _)| r == id)
+            .map(|&(_, done)| done)
+    }
+
+    /// Retires a write with no essential word: a silent store, or the
+    /// tail of a split write whose words have all landed. The tail
+    /// completes no earlier than its last partial issue's service.
+    fn issue_silent_write(
+        &mut self,
+        req: &MemRequest,
+        now: Cycle,
+        start: Cycle,
+        overlapping: bool,
+        polls: u64,
+        out: &mut Vec<Completion>,
+    ) {
+        let (id, bank) = (req.id, req.loc.bank);
+        self.core
+            .checker
+            .status_poll_n(bank, now, start, overlapping, polls);
+        // Nothing to program: the stored line already holds the data.
+        self.dequeue_write(req);
+        let read_end = start + Duration(self.core.t.array_read);
+        let mut done = read_end;
+        if let Some(pos) = self.split_in_progress.iter().position(|&(r, _)| r == id) {
+            done = done.max(self.split_in_progress.swap_remove(pos).1);
+        } else {
+            self.core.stats.essential_histogram[0] += 1;
+            self.core.stats.silent_writes += 1;
+        }
+        self.core.stats.irlp.open_window(bank, start, read_end);
+        self.core.lifetrace.issue(id.0, now, start, done);
+        self.complete_write(req, bank, done, out);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -516,14 +642,18 @@ impl PcmapController {
             self.dequeue_write(&req);
         }
 
-        let outcome = self
-            .core
-            .rank
-            .write_words(bank, req.loc.row, req.loc.col, data, mask);
+        let (row, col) = (req.loc.row, req.loc.col);
+        let generation = self.core.rank.storage().generation(bank);
+        let outcome = self.core.rank.write_words(bank, row, col, data, mask);
         debug_assert_eq!(outcome.essential, mask);
+        self.revalidate_memos(bank, row, col, generation);
         match split_of {
             None => {
-                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == req.id) {
+                if let Some(pos) = self
+                    .split_in_progress
+                    .iter()
+                    .position(|&(r, _)| r == req.id)
+                {
                     // Tail of a split write issued whole: already counted.
                     self.split_in_progress.swap_remove(pos);
                 } else {
@@ -533,9 +663,9 @@ impl PcmapController {
             Some(full) => {
                 // First partial issue of a split write: histogram it once
                 // with its original word count.
-                if !self.split_in_progress.contains(&req.id) {
+                if self.split_partials_done(req.id).is_none() {
                     self.core.stats.essential_histogram[full.min(8)] += 1;
-                    self.split_in_progress.push(req.id);
+                    self.split_in_progress.push((req.id, Cycle::ZERO));
                 }
             }
         }
@@ -645,7 +775,16 @@ impl PcmapController {
             data_end,
             req: req.id.0,
         });
-        if !partial {
+        let end = &mut self.inflight_end[bank.index()];
+        *end = (*end).max(data_end);
+        if partial {
+            let entry = self
+                .split_in_progress
+                .iter_mut()
+                .find(|(r, _)| *r == req.id)
+                .expect("split write is tracked");
+            entry.1 = entry.1.max(done);
+        } else {
             self.complete_write(&req, bank, done, out);
         }
     }
@@ -1096,8 +1235,11 @@ impl PcmapController {
     /// The reference write scan: the same decision as
     /// [`Self::try_issue_write`], rebuilt from scratch on every call. It
     /// gathers and sorts every queued write, hides lines with a skipped
-    /// write, tests the read-priority gate per write, peeks the stored
-    /// line for every candidate and tests each chip window twice.
+    /// write, tests the read-priority gate per write, scans `inflight`
+    /// for overlap, peeks the stored line for every candidate and tests
+    /// each chip window twice against the timing model directly. It
+    /// uses none of the scan's shortcuts: no per-bank in-flight horizon,
+    /// no window summary, no essential-mask memo.
     fn reference_try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
         pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
@@ -1151,7 +1293,10 @@ impl PcmapController {
                 skipped_lines.push(req.line);
                 continue;
             }
-            let overlapping = self.has_inflight(bank, now);
+            let overlapping = self
+                .inflight
+                .iter()
+                .any(|w| w.bank == bank && w.data_end > now);
             // A degraded rank loses WoW speculation: overlapped writes
             // wait for the in-flight write like the baseline would.
             if overlapping && (!self.kind.wow_enabled() || degraded) {
@@ -1198,23 +1343,7 @@ impl PcmapController {
             if mask.is_empty() {
                 // Silent store — or the tail of a split write whose words
                 // have all landed.
-                self.core
-                    .checker
-                    .status_poll_n(bank, now, start, overlapping, polls);
-                self.dequeue_write(&req);
-                self.core
-                    .rank
-                    .write_words(bank, req.loc.row, req.loc.col, data, mask);
-                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
-                    self.split_in_progress.swap_remove(pos);
-                } else {
-                    self.core.stats.essential_histogram[0] += 1;
-                    self.core.stats.silent_writes += 1;
-                }
-                let done = start + Duration(self.core.t.array_read);
-                self.core.stats.irlp.open_window(bank, start, done);
-                self.core.lifetrace.issue(id.0, now, start, done);
-                self.complete_write(&req, bank, done, out);
+                self.issue_silent_write(&req, now, start, overlapping, polls, out);
                 return true;
             }
 
@@ -1224,7 +1353,7 @@ impl PcmapController {
             let mut mask = mask;
             let splitting = self.split_writes_for_row
                 && self.kind.row_enabled()
-                && (full_count > 1 || self.split_in_progress.contains(&id))
+                && (full_count > 1 || self.split_partials_done(id).is_some())
                 && !self.core.read_q.is_empty();
             if splitting {
                 mask = WordMask::single(mask.first().expect("non-empty"));
@@ -1845,6 +1974,34 @@ mod tests {
         );
     }
 
+    /// Fills bank 0's write queue past the high watermark (26) with
+    /// 3-word writes to force a drain, and queues four reads. Returns
+    /// each write's location and data.
+    fn enqueue_drain_with_reads(
+        c: &mut PcmapController,
+    ) -> Vec<(pcmap_types::MemLocation, CacheLine)> {
+        let org = MemOrg::tiny();
+        let mut expected = Vec::new();
+        for k in 0..26u64 {
+            // Distinct bank-0 lines of the tiny org (16 rows x 8 cols).
+            let line = (k / 8) * 16 + k % 8;
+            let addr = line * 64;
+            let loc = org.decode(PhysAddr::new(addr));
+            assert_eq!(loc.bank, BankId(0));
+            let w = write_req(c, k + 1, addr, &[2, 4, 6], Cycle(0));
+            let ReqKind::Write { data } = w.kind else {
+                unreachable!()
+            };
+            expected.push((loc, data));
+            c.enqueue_write(w, Cycle(0)).unwrap();
+        }
+        for r in 0..4u64 {
+            c.enqueue_read(read_req(100 + r, 64 + r * 4096, Cycle(0)), Cycle(0))
+                .unwrap();
+        }
+        expected
+    }
+
     #[test]
     fn split_mode_lets_reads_overlap_multiword_writes_during_drains() {
         // Multi-word writes normally block RoW (2+ busy word chips). With
@@ -1854,27 +2011,7 @@ mod tests {
         let run = |split: bool| -> (u64, u64) {
             let mut c = ctrl(SystemKind::RowNr);
             c.set_split_writes_for_row(split);
-            // Fill bank 0's write queue past the high watermark (26) with
-            // 3-word writes to force a drain.
-            let org = MemOrg::tiny();
-            let mut expected = Vec::new();
-            for k in 0..26u64 {
-                // Distinct bank-0 lines of the tiny org (16 rows x 8 cols).
-                let line = (k / 8) * 16 + k % 8;
-                let addr = line * 64;
-                let loc = org.decode(PhysAddr::new(addr));
-                assert_eq!(loc.bank, BankId(0));
-                let w = write_req(&c, k + 1, addr, &[2, 4, 6], Cycle(0));
-                let ReqKind::Write { data } = w.kind else {
-                    unreachable!()
-                };
-                expected.push((loc, data));
-                c.enqueue_write(w, Cycle(0)).unwrap();
-            }
-            for r in 0..4u64 {
-                c.enqueue_read(read_req(100 + r, 64 + r * 4096, Cycle(0)), Cycle(0))
-                    .unwrap();
-            }
+            let expected = enqueue_drain_with_reads(&mut c);
             let mut now = Cycle(0);
             c.step(now);
             while let Some(wake) = c.next_wake(now) {
@@ -1903,6 +2040,31 @@ mod tests {
             row_on > row_off,
             "split mode must enable RoW: {row_on} vs {row_off}"
         );
+    }
+
+    #[test]
+    fn split_write_tails_retire_after_their_last_partial_service() {
+        let mut c = ctrl(SystemKind::RowNr);
+        c.set_split_writes_for_row(true);
+        c.set_lifetrace(true);
+        enqueue_drain_with_reads(&mut c);
+        run_to_idle(&mut c, Cycle(0));
+        assert!(
+            c.stats().reads_via_row > 0,
+            "split writes let reads overlap"
+        );
+        let t = c.lifetrace();
+        assert_eq!(t.violations(), 0);
+        // 26 writes and 4 reads, one of them forwarded from a queued write.
+        assert_eq!(t.timelines().len(), 30);
+        for tl in t.timelines() {
+            assert!(tl.conserves(), "timeline does not conserve: {tl:?}");
+        }
+        // Every write's completion covers the service of all its chips.
+        for tl in t.timelines().iter().filter(|tl| tl.is_write) {
+            let last = tl.chip_service.iter().map(|s| s.end).max();
+            assert!(last.is_none_or(|e| e <= tl.retire), "req {}", tl.req);
+        }
     }
 
     #[test]
@@ -2032,7 +2194,7 @@ mod tests {
             variant in 0u64..5,
             ops in 40u64..220,
             banks in 2u8..5,
-            knobs in 0u64..32,
+            knobs in 0u64..64,
         ) {
             let kind = SystemKind::pcmap_variants()[variant as usize];
             let org = MemOrg { banks, ..MemOrg::tiny() };
@@ -2047,10 +2209,7 @@ mod tests {
                 c.reference_write_scan = reference;
                 c.set_split_writes_for_row(knobs & 1 != 0);
                 c.set_overlap_reads_in_normal(knobs & 2 != 0);
-                // The tracer's conservation check does not hold for split
-                // writes (their silent tail retires before the last
-                // partial's service ends), so trace only unsplit runs.
-                c.set_lifetrace(knobs & 4 != 0 && knobs & 1 == 0);
+                c.set_lifetrace(knobs & 4 != 0);
                 if knobs & 8 != 0 {
                     // A storm dense enough to corrupt status polls and to
                     // demote (and re-promote) the rank within a case.
@@ -2069,10 +2228,14 @@ mod tests {
             let mut rng = Xoshiro256::new(seed ^ 0xa11_0c8);
             let mut now = Cycle(0);
             let lines = if knobs & 16 != 0 { 6 } else { 40 };
+            // Addresses wrap at the rank's capacity, so lines this far
+            // apart are distinct lines sharing one storage slot.
+            let capacity = u64::from(banks) * u64::from(org.rows_per_bank * org.lines_per_row);
             for id in 1..=ops {
                 // pcmap-lint: allow(manual-time-advance, reason = "property driver models request arrival times, not the run-loop clock")
                 now = Cycle(now.0 + rng.next_below(24));
-                let addr = PhysAddr::new(rng.next_below(lines) * 64);
+                let alias = if knobs & 32 != 0 && rng.chance(0.4) { capacity } else { 0 };
+                let addr = PhysAddr::new((rng.next_below(lines) + alias) * 64);
                 let loc = org.decode(addr);
                 // Arrivals may trail the clock a little, so the index
                 // also inserts behind its tail.

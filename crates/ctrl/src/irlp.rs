@@ -18,6 +18,8 @@
 //! known later than issue time.
 
 use pcmap_types::{BankId, Cycle};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Cap on concurrently counted chips, per the paper's "out of 8.0".
 const CHIP_CAP: u64 = 8;
@@ -26,10 +28,12 @@ const CHIP_CAP: u64 = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowId(u64);
 
-#[derive(Debug, Clone, Copy)]
+/// Ordered by `end` first, so a min-heap of segments pops the earliest
+/// ending one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Segment {
-    start: Cycle,
     end: Cycle,
+    start: Cycle,
 }
 
 #[derive(Debug, Clone)]
@@ -42,8 +46,9 @@ struct Window {
 #[derive(Debug, Clone, Default)]
 struct BankIrlp {
     windows: Vec<Window>,
-    /// Raw segment log; pruned once no open or future window can see it.
-    segs: Vec<Segment>,
+    /// Raw segment log as a min-heap on `end`; pruned once no open or
+    /// future window can see a segment.
+    segs: BinaryHeap<Reverse<Segment>>,
 }
 
 /// Streaming IRLP tracker for one rank.
@@ -99,7 +104,9 @@ impl IrlpTracker {
         if end <= start {
             return;
         }
-        self.banks[bank.index()].segs.push(Segment { start, end });
+        self.banks[bank.index()]
+            .segs
+            .push(Reverse(Segment { end, start }));
     }
 
     /// Finalizes all windows ending at or before `now` and prunes stale
@@ -115,7 +122,7 @@ impl IrlpTracker {
                 if b.windows[i].end <= now {
                     let w = b.windows.swap_remove(i);
                     if w.end > w.start {
-                        let sample = window_irlp(&w, &b.segs);
+                        let sample = window_irlp(&w, b.segs.iter().map(|Reverse(s)| s));
                         self.samples.push(sample);
                         self.timed.push((w.end, sample));
                     }
@@ -127,7 +134,9 @@ impl IrlpTracker {
             // a window opened in the future (which starts at >= now).
             let keep_after = b.windows.iter().map(|w| w.start).min().unwrap_or(now);
             let keep_after = keep_after.max(Cycle(0)).min(now);
-            b.segs.retain(|s| s.end > keep_after);
+            while b.segs.peek().is_some_and(|Reverse(s)| s.end <= keep_after) {
+                b.segs.pop();
+            }
         }
     }
 
@@ -158,7 +167,9 @@ impl IrlpTracker {
 }
 
 /// Sweep-line integration of chip-count over the window, capped at 8.
-fn window_irlp(w: &Window, segs: &[Segment]) -> f64 {
+/// The events are sorted, so the result does not depend on the order
+/// in which `segs` yields the segments.
+fn window_irlp<'a>(w: &Window, segs: impl IntoIterator<Item = &'a Segment>) -> f64 {
     let span = (w.end.0 - w.start.0) as f64;
     let mut events: Vec<(u64, i64)> = Vec::new();
     for s in segs {
@@ -187,8 +198,122 @@ fn window_irlp(w: &Window, segs: &[Segment]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcmap_types::Xoshiro256;
 
     const B: BankId = BankId(0);
+
+    /// The reference tracker: the same windows over a plain segment
+    /// `Vec` pruned by `retain` on every settle.
+    struct VecIrlp {
+        banks: Vec<(Vec<Window>, Vec<Segment>)>,
+        samples: Vec<f64>,
+        timed: Vec<(Cycle, f64)>,
+        next_id: u64,
+    }
+
+    impl VecIrlp {
+        fn new(banks: usize) -> Self {
+            Self {
+                banks: vec![(Vec::new(), Vec::new()); banks],
+                samples: Vec::new(),
+                timed: Vec::new(),
+                next_id: 0,
+            }
+        }
+
+        fn open_window(&mut self, bank: BankId, start: Cycle, end: Cycle) -> WindowId {
+            let id = WindowId(self.next_id);
+            self.next_id += 1;
+            self.banks[bank.index()].0.push(Window { id, start, end });
+            id
+        }
+
+        fn extend_window(&mut self, bank: BankId, id: WindowId, new_end: Cycle) {
+            if let Some(w) = self.banks[bank.index()].0.iter_mut().find(|w| w.id == id) {
+                w.end = w.end.max(new_end);
+            }
+        }
+
+        fn record_segment(&mut self, bank: BankId, start: Cycle, end: Cycle) {
+            if end > start {
+                self.banks[bank.index()].1.push(Segment { end, start });
+            }
+        }
+
+        fn settle(&mut self, now: Cycle) {
+            for (windows, segs) in &mut self.banks {
+                let mut i = 0;
+                while i < windows.len() {
+                    if windows[i].end <= now {
+                        let w = windows.swap_remove(i);
+                        if w.end > w.start {
+                            let sample = window_irlp(&w, segs.iter());
+                            self.samples.push(sample);
+                            self.timed.push((w.end, sample));
+                        }
+                    } else {
+                        i += 1;
+                    }
+                }
+                let keep_after = windows
+                    .iter()
+                    .map(|w| w.start)
+                    .min()
+                    .unwrap_or(now)
+                    .min(now);
+                segs.retain(|s| s.end > keep_after);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Heap pruning keeps every segment the `retain` reference keeps,
+        /// so the two finalise bit-equal samples in the same order.
+        #[test]
+        fn heap_pruning_matches_the_retain_reference(seed: u64, ops in 1usize..300) {
+            let (mut heap, mut reference) = (IrlpTracker::new(3), VecIrlp::new(3));
+            let mut rng = Xoshiro256::new(seed);
+            let mut now = Cycle(0);
+            let mut open: Vec<(BankId, WindowId, Cycle)> = Vec::new();
+            for _ in 0..ops {
+                let bank = BankId(rng.next_below(3) as u8);
+                let start = Cycle(now.0 + rng.next_below(20));
+                let end = Cycle(start.0 + rng.next_below(80));
+                match rng.next_below(5) {
+                    0 => {
+                        let id = heap.open_window(bank, start, end);
+                        proptest::prop_assert_eq!(id, reference.open_window(bank, start, end));
+                        open.push((bank, id, start));
+                    }
+                    1 if !open.is_empty() => {
+                        // A finalised window ignores the extension in both.
+                        let (bank, id, from) = open[rng.next_below(open.len() as u64) as usize];
+                        let to = Cycle(from.max(now).0 + rng.next_below(100));
+                        heap.extend_window(bank, id, to);
+                        reference.extend_window(bank, id, to);
+                    }
+                    2 | 3 => {
+                        heap.record_segment(bank, start, end);
+                        reference.record_segment(bank, start, end);
+                    }
+                    _ => {
+                        // pcmap-lint: allow(manual-time-advance, reason = "property driver models a run-loop clock over a bare tracker")
+                        now = Cycle(now.0 + rng.next_below(40));
+                        heap.settle(now);
+                        reference.settle(now);
+                    }
+                }
+            }
+            heap.settle(Cycle::MAX);
+            reference.settle(Cycle::MAX);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(heap.samples()), bits(&reference.samples));
+            let timed = |v: &[(Cycle, f64)]| {
+                v.iter().map(|&(c, x)| (c, x.to_bits())).collect::<Vec<_>>()
+            };
+            proptest::prop_assert_eq!(timed(heap.timed_samples()), timed(&reference.timed));
+        }
+    }
 
     #[test]
     fn lone_write_with_two_essential_chips_scores_two() {

@@ -80,8 +80,11 @@ impl ChipBankState {
         self.res.insert(pos, (start, end));
     }
 
-    fn prune(&mut self, now: Cycle) {
+    /// Drops reservations that ended at or before `now` and returns the
+    /// earliest end among those left (`Cycle::MAX` when none are).
+    fn prune(&mut self, now: Cycle) -> Cycle {
         self.res.retain(|&(_, e)| e > now);
+        self.res.iter().map(|&(_, e)| e).min().unwrap_or(Cycle::MAX)
     }
 
     /// Cancels all occupancy at or after `from`: future reservations are
@@ -129,6 +132,10 @@ pub struct RankTiming {
     banks: usize,
     chips: usize,
     state: Vec<ChipBankState>,
+    /// A lower bound on the end of every reservation held (`Cycle::MAX`
+    /// when none is): [`Self::prune`] has nothing to drop before it.
+    /// `reserve` and `force_free` lower it; `prune` recomputes it.
+    min_end: Cycle,
 }
 
 impl RankTiming {
@@ -141,6 +148,7 @@ impl RankTiming {
             banks,
             chips,
             state: vec![ChipBankState::default(); banks * chips],
+            min_end: Cycle::MAX,
         }
     }
 
@@ -232,6 +240,7 @@ impl RankTiming {
         for chip in set.chips() {
             self.chip_mut(bank, chip).insert(start, until);
         }
+        self.min_end = self.min_end.min(until);
         // Occupancy book-keeping (observer only; inert when profiling is
         // off).
         if pcmap_prof::enabled() {
@@ -273,6 +282,8 @@ impl RankTiming {
     /// and anything it had queued later is cancelled.
     pub fn force_free(&mut self, bank: BankId, chip: ChipId, from: Cycle) {
         let removed = self.chip_mut(bank, chip).release_from(from);
+        // A truncated reservation now ends at `from`.
+        self.min_end = self.min_end.min(from);
         if removed > 0 {
             pcmap_prof::note_unbusy(bank.index(), chip.index(), removed);
         }
@@ -313,12 +324,20 @@ impl RankTiming {
             .max()
     }
 
-    /// Drops reservations that ended at or before `now`.
+    /// Drops reservations that ended at or before `now`. Returns at once
+    /// while `now` is below every reservation's end, so a step that
+    /// retires nothing scans nothing.
     pub fn prune(&mut self, now: Cycle) {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::DeviceAdvance);
-        for s in &mut self.state {
-            s.prune(now);
+        if now < self.min_end {
+            return;
         }
+        self.min_end = self
+            .state
+            .iter_mut()
+            .map(|s| s.prune(now))
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
     /// Number of banks tracked.
@@ -464,6 +483,63 @@ mod tests {
         t.prune(Cycle(15));
         assert_eq!(t.chip(BankId(0), ChipId(0)).clear_from(Cycle(0)), Cycle(30));
         assert!(t.is_free(BankId(0), ChipId(0), Cycle(5)));
+    }
+
+    /// Reservation lists of every (bank, chip) pair, in state order.
+    fn windows(t: &RankTiming) -> Vec<Vec<(Cycle, Cycle)>> {
+        t.state.iter().map(|s| s.res.clone()).collect()
+    }
+
+    proptest::proptest! {
+        /// The early-exit `prune` leaves exactly the reservations an
+        /// eager scan of every (bank, chip) pair leaves, across random
+        /// reservations, watchdog force-frees and prunes.
+        #[test]
+        fn early_exit_prune_matches_an_eager_prune(seed: u64, ops in 1usize..160) {
+            let org = MemOrg { banks: 3, ..MemOrg::tiny() };
+            let (mut fast, mut eager) = (RankTiming::new(&org), RankTiming::new(&org));
+            let mut rng = pcmap_types::Xoshiro256::new(seed);
+            let mut now = Cycle(0);
+            for _ in 0..ops {
+                let bank = BankId(rng.next_below(3) as u8);
+                let chip = ChipId(rng.next_below(ChipId::TOTAL_CHIPS as u64) as u8);
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        // Book the chip's next free window, possibly in
+                        // the future (a PCC-style step-2 reservation).
+                        let from = Cycle(now.0 + rng.next_below(40));
+                        let start = fast.free_at(bank, ChipSet::single(chip.index()), from);
+                        let end = Cycle(start.0 + 1 + rng.next_below(60));
+                        for t in [&mut fast, &mut eager] {
+                            t.reserve(bank, ChipSet::single(chip.index()), start, end);
+                        }
+                    }
+                    2 => {
+                        let from = Cycle(now.0 + rng.next_below(30));
+                        fast.force_free(bank, chip, from);
+                        eager.force_free(bank, chip, from);
+                    }
+                    _ => {
+                        // pcmap-lint: allow(manual-time-advance, reason = "property driver models a run-loop clock over a bare timing model")
+                        now = Cycle(now.0 + rng.next_below(50));
+                        fast.prune(now);
+                        for s in &mut eager.state {
+                            s.prune(now);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(windows(&fast), windows(&eager));
+                let floor = eager
+                    .state
+                    .iter()
+                    .flat_map(|s| s.res.iter().map(|&(_, e)| e))
+                    .min();
+                proptest::prop_assert!(
+                    floor.is_none_or(|e| fast.min_end <= e),
+                    "min_end is a lower bound"
+                );
+            }
+        }
     }
 
     #[test]

@@ -107,9 +107,19 @@ macro_rules! bitset_type {
                 self.0 & !other.0 == 0
             }
 
-            /// Iterates over member indices in ascending order.
+            /// Iterates over member indices in ascending order, one
+            /// lowest-set-bit scan per member.
+            #[inline]
             pub fn iter(self) -> impl Iterator<Item = usize> {
-                (0..Self::CAPACITY).filter(move |&i| self.contains(i))
+                let mut bits = self.0;
+                core::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some(i)
+                })
             }
 
             /// The lowest member, if any.
@@ -287,6 +297,15 @@ mod tests {
         assert_eq!((a & b).count(), 1);
         assert_eq!((!WordMask::empty()), WordMask::full());
         assert_eq!((!ChipSet::full()), ChipSet::empty());
+    }
+
+    #[test]
+    fn bit_scan_iter_matches_a_slot_by_slot_scan() {
+        for bits in 0..=ChipSet::full().bits() {
+            let s = ChipSet::from_bits(bits);
+            let slow: Vec<usize> = (0..ChipSet::CAPACITY).filter(|&i| s.contains(i)).collect();
+            assert_eq!(s.iter().collect::<Vec<_>>(), slow, "bits {bits:#b}");
+        }
     }
 
     #[test]
